@@ -12,9 +12,9 @@ that the natural integer order coincides with the bound order
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 INF_VALUE = 1 << 60
@@ -51,29 +51,6 @@ def bound_add(a: int, b: int) -> int:
 
 
 LE_ZERO = encode(0, False)
-
-
-@dataclass(frozen=True)
-class Bound:
-    """A single difference bound: value plus strictness (+oo is strict)."""
-
-    value: int | float
-    strict: bool
-
-    @staticmethod
-    def from_encoded(enc: int) -> "Bound":
-        if enc >= INF:
-            return Bound(POS_INF, True)
-        return Bound(bound_value(enc), bound_is_strict(enc))
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value == POS_INF
-
-    def encoded(self) -> int:
-        if self.is_infinite:
-            return INF
-        return encode(int(self.value), self.strict)
 
 
 @dataclass(frozen=True)
@@ -156,12 +133,6 @@ class Zone:
     def idx(self, clock: str) -> int:
         return self._index[clock]
 
-    def bound(self, a: str | None, b: str | None) -> Bound:
-        n = len(self.clocks) + 1
-        i = 0 if a is None else self._index[a]
-        j = 0 if b is None else self._index[b]
-        return Bound.from_encoded(self.m[i * n + j])
-
     def entry(self, i: int, j: int) -> int:
         return self.m[i * (len(self.clocks) + 1) + j]
 
@@ -200,12 +171,6 @@ class Zone:
         return "Zone(" + " & ".join(parts) + ")"
 
     # -- operations --------------------------------------------------------
-
-    def canonicalize(self) -> "Zone":
-        """Shortest-path closure; idempotent on already-canonical zones."""
-        if self._empty:
-            return self
-        return Zone(self.clocks, self.m)
 
     def intersect(self, constraints: Iterable[tuple[str | None, str | None, int, bool]]) -> "Zone":
         """Conjoin difference constraints ``a - b (<|<=) value`` and re-canonicalize."""
@@ -397,29 +362,6 @@ class Zone:
             out.append(Facet(zone=fz, axis=axis, kind=kind, pivot=(other, pivot_value)))
         return out
 
-    # -- recession cone -------------------------------------------------------
-
-    def recession_directions(self) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-        """Generator description of the cone of unbounded directions.
-
-        Returns ``(C, R)``: the clocks unbounded above, and the pairs
-        ``(x, y)`` with a finite difference bound forcing ``alpha_x <= alpha_y``.
-        Every recession direction is a nonnegative combination supported on C
-        respecting R.
-        """
-        if self._empty:
-            return ((), ())
-        n = len(self.clocks) + 1
-        cone = tuple(c for c in self.clocks if self.m[self._index[c] * n + 0] >= INF)
-        cset = set(cone)
-        rel = []
-        for x in cone:
-            for y in cone:
-                if x != y and self.m[self._index[x] * n + self._index[y]] < INF:
-                    rel.append((x, y))
-        assert all(x in cset and y in cset for x, y in rel)
-        return cone, tuple(rel)
-
     # -- vertices --------------------------------------------------------------
 
     def vertices(self) -> list[dict[str, int]]:
@@ -433,36 +375,30 @@ class Zone:
         closed = self.closure()
         found: set[tuple[int, ...]] = set()
         seen: set[frozenset[tuple[int, int]]] = set()
-
-        def grow(values: dict[int, int]) -> None:
+        # a vertex is pinned by a spanning tree of tight constraints rooted at
+        # 0: attach one unassigned node at a time through any finite bound
+        stack: list[dict[int, int]] = [{0: 0}]
+        while stack:
+            values = stack.pop()
             key = frozenset(values.items())
             if key in seen:
-                return
+                continue
             seen.add(key)
             if len(values) == n:
                 point = tuple(values[i] for i in range(1, n))
-                val = {c: point[k] for k, c in enumerate(self.clocks)}
-                if closed.contains(val):
+                if closed.contains(dict(zip(self.clocks, point))):
                     found.add(point)
-                return
-            # attach any unassigned node through any tight edge; a vertex is
-            # pinned by a spanning tree of tight constraints rooted at 0
+                continue
             for i in range(n):
                 if i in values:
                     continue
-                for j in list(values):
+                for j, vj in values.items():
                     e = closed.m[i * n + j]
                     if e < INF:
-                        values[i] = values[j] + bound_value(e)
-                        grow(values)
-                        del values[i]
+                        stack.append({**values, i: vj + bound_value(e)})
                     e = closed.m[j * n + i]
                     if e < INF:
-                        values[i] = values[j] - bound_value(e)
-                        grow(values)
-                        del values[i]
-
-        grow({0: 0})
+                        stack.append({**values, i: vj - bound_value(e)})
         return [
             {c: p[k] for k, c in enumerate(self.clocks)} for p in sorted(found)
         ]
@@ -500,28 +436,6 @@ def _empty_matrix(n: int) -> list[int]:
 # -- affine optimization over zones ------------------------------------------
 
 
-def _cone_unbounded(
-    zone: Zone, coeffs: Mapping[str, Fraction], *, positive: bool
-) -> bool:
-    """True iff some recession direction d has coeffs . d > 0 (or < 0)."""
-    cone, rel = zone.recession_directions()
-    if not cone:
-        return False
-    succ: dict[str, set[str]] = {c: set() for c in cone}
-    for x, y in rel:
-        succ[x].add(y)
-    cone_list = list(cone)
-    for r in range(1, len(cone_list) + 1):
-        for combo in itertools.combinations(cone_list, r):
-            u = set(combo)
-            if any(not succ[x] <= u for x in u):
-                continue  # not closed under alpha_x <= alpha_y
-            s = sum(coeffs.get(x, Fraction(0)) for x in u)
-            if (positive and s > 0) or (not positive and s < 0):
-                return True
-    return False
-
-
 def sup_affine(
     zone: Zone, coeffs: Mapping[str, Fraction], const: Fraction = Fraction(0)
 ) -> tuple[Fraction | float, dict[str, int] | None]:
@@ -529,13 +443,57 @@ def sup_affine(
 
     Returns ``(value, witness)``; the witness is an integral point of the
     closure attaining the supremum, or None when the supremum is +oo.
+
+    The dual of ``max c.x s.t. x_i - x_j <= m_ij`` is an uncapacitated
+    transshipment: clock k supplies ``c_k`` units (scaled to integers), the
+    reference clock 0 balances them, and arc i -> j costs ``m_ij`` per unit.
+    Successive shortest paths either strand some supply, so the dual is
+    infeasible and the sup is +oo, or route all of it at minimum cost, which
+    is the sup.  The negated shortest distances from 0 in the final residual
+    graph satisfy every bound and keep every bound that carries flow tight,
+    so by complementary slackness they are an optimal integral vertex: the
+    least point of the optimal face.
     """
     if zone.is_empty:
         raise EmptyZoneError("sup over an empty zone")
-    if _cone_unbounded(zone, coeffs, positive=True):
-        return POS_INF, None
-    value, point = _sup_bounded(zone.closure(), dict(coeffs), const)
-    return value, point
+    n = len(zone.clocks) + 1
+    rates = [Fraction(coeffs.get(c, 0)) for c in zone.clocks]
+    scale = lcm(1, *(r.denominator for r in rates))
+    supply = [0] + [int(r * scale) for r in rates]
+    supply[0] = -sum(supply)
+    # the sup over the closure ignores strictness
+    arcs = [
+        (i, j, bound_value(zone.m[i * n + j]))
+        for i in range(n)
+        for j in range(n)
+        if i != j and zone.m[i * n + j] < INF
+    ]
+    flow = [0] * len(arcs)
+    total = 0
+    while any(s > 0 for s in supply):
+        dist, pred = _residual_distances(
+            n, arcs, flow, [k for k in range(n) if supply[k] > 0]
+        )
+        sinks = [k for k in range(n) if supply[k] < 0 and dist[k] is not None]
+        if not sinks:
+            return POS_INF, None
+        t = min(sinks, key=dist.__getitem__)
+        path = []
+        source = t
+        while pred[source] is not None:
+            a, d = pred[source]
+            path.append((a, d))
+            source = arcs[a][0] if d > 0 else arcs[a][1]
+        amount = min(supply[source], -supply[t], *(flow[a] for a, d in path if d < 0))
+        for a, d in path:
+            flow[a] += d * amount
+        supply[source] -= amount
+        supply[t] += amount
+        total += amount * dist[t]
+    # clocks are nonnegative (row 0 is finite), so 0 reaches every node
+    dist, _ = _residual_distances(n, arcs, flow, [0])
+    point = {c: -dist[k] for k, c in enumerate(zone.clocks, 1)}
+    return const + Fraction(total, scale), point
 
 
 def inf_affine(
@@ -549,29 +507,30 @@ def inf_affine(
     return -value, point
 
 
-def _sup_bounded(
-    zone: Zone, coeffs: dict[str, Fraction], const: Fraction
-) -> tuple[Fraction, dict[str, int]]:
-    # Facet recursion: eliminate one clock per level; the function restricted
-    # to a facet is affine over the remaining clocks.
-    if not zone.clocks:
-        return const, {}
-    x = zone.clocks[-1]
-    cx = coeffs.get(x, Fraction(0))
-    kind = "upper" if cx > 0 else "lower"
-    best: Fraction | None = None
-    best_point: dict[str, int] | None = None
-    for facet in zone.facets(x, kind):
-        other, pivot = facet.pivot
-        sub_coeffs = {c: v for c, v in coeffs.items() if c != x}
-        sub_const = const + cx * pivot
-        if other is not None:
-            sub_coeffs[other] = sub_coeffs.get(other, Fraction(0)) + cx
-        sub_zone = facet.zone.project([c for c in zone.clocks if c != x])
-        val, point = _sup_bounded(sub_zone, sub_coeffs, sub_const)
-        if best is None or val > best:
-            lifted = dict(point)
-            lifted[x] = pivot if other is None else point[other] + pivot
-            best, best_point = val, lifted
-    assert best is not None and best_point is not None
-    return best, best_point
+def _residual_distances(
+    n: int, arcs: list[tuple[int, int, int]], flow: list[int], roots: list[int]
+) -> tuple[list[int | None], list[tuple[int, int] | None]]:
+    """Bellman-Ford from ``roots`` (at distance 0) over the residual graph.
+
+    Arc ``a = (i, j, w)`` is residual forward (i -> j, cost w) always and
+    backward (j -> i, cost -w) while it carries flow; the residual graph of
+    an optimal partial flow has no negative cycle.  Returns each node's
+    distance (None when unreachable) and the arc reaching it as ``(a, +1)``
+    or ``(a, -1)``, None for the roots.
+    """
+    dist: list[int | None] = [None] * n
+    pred: list[tuple[int, int] | None] = [None] * n
+    for r in roots:
+        dist[r] = 0
+    for _ in range(n):
+        changed = False
+        for a, (i, j, w) in enumerate(arcs):
+            di = dist[i]
+            if di is not None and (dist[j] is None or di + w < dist[j]):
+                dist[j], pred[j], changed = di + w, (a, 1), True
+            dj = dist[j]
+            if flow[a] and dj is not None and (dist[i] is None or dj - w < dist[i]):
+                dist[i], pred[i], changed = dj - w, (a, -1), True
+        if not changed:
+            break
+    return dist, pred

@@ -37,6 +37,10 @@ class ConfigError(ValueError):
     pass
 
 
+class WitnessError(RuntimeError):
+    """A witness-extraction invariant failed: a bug, not a bad input."""
+
+
 @dataclass(frozen=True)
 class Config:
     inclusion: str = "abstract"  # "abstract" | "simple"
@@ -242,8 +246,9 @@ def explore(
 
 def _pick_point(zone: Zone, cost: AffineCost, budget: Fraction) -> dict[str, Fraction]:
     """A point of the zone whose cost is within ``budget`` of the infimum."""
-    value, vertex = inf_affine(zone, cost.coeff_map(), cost.const)
-    assert vertex is not None and value != NEG_INF
+    _, vertex = inf_affine(zone, cost.coeff_map(), cost.const)
+    if vertex is None:
+        raise WitnessError("cost must be bounded below on a witness zone")
     v = {c: Fraction(x) for c, x in vertex.items()}
     if zone.contains(v):
         return v
@@ -274,7 +279,8 @@ def _delay_interval(zone: Zone, v: dict[str, Fraction]):
                 hi, hi_strict = cand, bound_is_strict(e)
     if lo < 0:
         lo, lo_strict = Fraction(0), False
-    assert hi is not None, "clocks are bounded below, so backward delay is bounded"
+    if hi is None:
+        raise WitnessError("clocks are bounded below, so backward delay is bounded")
     return lo, lo_strict, hi, hi_strict
 
 
@@ -287,7 +293,8 @@ def _choose_delay(entry: PricedZone, rate: int, v: dict[str, Fraction],
     if strict:
         room = (hi - lo) / 2
         shift = min(room, budget / (abs(slope) + 1))
-        assert shift > 0, "degenerate strict interval"
+        if shift <= 0:
+            raise WitnessError("degenerate strict interval")
         t = t + shift if want_lo else t - shift
     return t
 
@@ -303,7 +310,8 @@ def _fiber_point(parent_zone: Zone, cost: AffineCost, fixed: dict[str, Fraction]
         constraints.append((c, None, iv, False))
         constraints.append((None, c, -iv, False))
     fiber = scaled.intersect(constraints)
-    assert not fiber.is_empty, "reset fiber must meet the guarded parent zone"
+    if fiber.is_empty:
+        raise WitnessError("reset fiber must meet the guarded parent zone")
     coeffs = {c: k / d for c, k in cost.coeff_map().items()}
     w = _pick_point(fiber, AffineCost.of(fiber.clocks, coeffs, cost.const), budget * 1)
     return {c: w[c] / d for c in fiber.clocks}
@@ -338,7 +346,8 @@ def extract_witness(a: Automaton, state: SymbolicState, eps: Fraction) -> Run:
         delays.append(t)
         u = {c: v[c] - t for c in v}
         if s.parent is None:
-            assert all(x == 0 for x in u.values()), "root must rewind to the origin"
+            if any(x != 0 for x in u.values()):
+                raise WitnessError("root must rewind to the origin")
             break
         edge = a.edges[s.edge_index]
         guarded = s.parent.pz.zone.intersect(guard_constraints(edge.guard))

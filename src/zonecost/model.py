@@ -123,9 +123,6 @@ class Automaton:
                 return l
         raise KeyError(name)
 
-    def edges_from(self, name: str) -> list[Edge]:
-        return [e for e in self.edges if e.source == name]
-
     def min_weight(self) -> int:
         rates = [l.rate for l in self.locations]
         weights = [e.weight for e in self.edges]

@@ -258,7 +258,8 @@ def build_corner_point(a: Automaton, m: Mapping[str, int | None] | None = None,
                 continue
             idxs = {a.clocks.index(c) for c in e.resets}
             c2 = reset_corner(node.corner, r2, idxs)
-            assert c2 in corners(r2)
+            if c2 not in corners(r2):
+                raise RuntimeError("reset corner must be a corner of the reset region")
             edges.append((u, get(CornerState(e.target, r2, c2)), e.weight))
     return graph
 

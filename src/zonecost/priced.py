@@ -137,10 +137,6 @@ class PricedZone:
         return self.zone.clocks
 
 
-def evaluate(cost: AffineCost, v: Mapping[str, Fraction | int]) -> Fraction | float:
-    return cost.evaluate(v)
-
-
 def mincost(pz: PricedZone) -> Fraction | float:
     """inf of the cost function over the zone; -oo for the sentinel."""
     if pz.cost.minus_infinity:

@@ -6,17 +6,20 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import load_automaton
-from zonecost.dbm import NEG_INF, POS_INF
+from zonecost.dbm import NEG_INF, POS_INF, Zone, encode
 from zonecost.explorer import (
     Config,
     ConfigError,
+    WitnessError,
     explore,
     extract_witness,
     symbolic_post,
     _initial_states,
+    _pick_point,
 )
 from zonecost.inclusion import includes
 from zonecost.model import evaluate_run, max_constants
+from zonecost.priced import AffineCost
 
 
 def test_symbolic_post_goal_sink_empty():
@@ -61,8 +64,9 @@ def test_symbolic_post_fig2right_family():
         succ = [t for t in symbolic_post(a, s) if t.location == "l0"]
         assert len(succ) == 1
         (s,) = succ
-        assert s.pz.zone.bound("y", "x") .value == n
-        assert s.pz.zone.bound("x", "y").value == -n
+        x, y = s.pz.zone.idx("x"), s.pz.zone.idx("y")
+        assert s.pz.zone.entry(y, x) == encode(n, False)
+        assert s.pz.zone.entry(x, y) == encode(-n, False)
 
 
 def test_explore_costs_match_known_values(corpus):
@@ -186,6 +190,10 @@ def test_witness_for_diverging_cost_raises():
         v = explore(a, Config(iteration_cap=100))
     with pytest.raises(ValueError):
         extract_witness(a, v.witness_state, F(1, 1000))
+    # past that check, a cost unbounded below is a broken invariant
+    halfline = Zone.from_constraints(("x",), [])
+    with pytest.raises(WitnessError):
+        _pick_point(halfline, AffineCost.of(("x",), {"x": -1}), F(1))
 
 
 def test_observer_sees_all_tests(corpus):

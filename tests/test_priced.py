@@ -13,7 +13,6 @@ from zonecost.priced import (
     add_weight,
     constrain,
     delay_successors,
-    evaluate,
     is_lower_bounded,
     mincost,
     reset_successors,
@@ -30,10 +29,10 @@ def fig4_priced(const=0, coeffs=None) -> PricedZone:
 
 
 def test_evaluate():
-    assert evaluate(AffineCost.zero(XY), {"x": 3, "y": 4}) == 0
-    assert evaluate(AffineCost.of(("x",), {"x": 5}), {"x": F(1, 10)}) == F(1, 2)
-    assert evaluate(AffineCost.of(XY, {"x": 1, "y": 1}), {"x": 2, "y": 3}) == 5
-    assert evaluate(AffineCost.bottom(XY), {"x": 0, "y": 0}) == NEG_INF
+    assert AffineCost.zero(XY).evaluate({"x": 3, "y": 4}) == 0
+    assert AffineCost.of(("x",), {"x": 5}).evaluate({"x": F(1, 10)}) == F(1, 2)
+    assert AffineCost.of(XY, {"x": 1, "y": 1}).evaluate({"x": 2, "y": 3}) == 5
+    assert AffineCost.bottom(XY).evaluate({"x": 0, "y": 0}) == NEG_INF
 
 
 def test_mincost():
@@ -113,7 +112,7 @@ def _delay_cost_oracle(pz: PricedZone, rate: int, w: dict) -> F | float:
         return float("inf")
     slope = F(rate) - cost.diagonal_slope()
     t = lo if slope >= 0 else hi
-    return evaluate(cost, {c: w[c] - t for c in zone.clocks}) + t * rate
+    return cost.evaluate({c: w[c] - t for c in zone.clocks}) + t * rate
 
 
 def test_delay_pieces_cover_and_minimize():
@@ -131,7 +130,7 @@ def test_delay_pieces_cover_and_minimize():
             w = {c: v[c] + t for c in XY}
             assert up.contains(w)
             vals = [
-                evaluate(p.cost, w) for p in pieces if p.zone.contains(w)
+                p.cost.evaluate(w) for p in pieces if p.zone.contains(w)
             ]
             assert vals, "piece cover misses a reachable point"
             assert min(vals) == _delay_cost_oracle(pz, rate, w)
@@ -193,7 +192,7 @@ def test_reset_pieces_realize_fiber_minimum():
                     if p.cost.minus_infinity:
                         bottom = True
                     else:
-                        vals.append(evaluate(p.cost, w))
+                        vals.append(p.cost.evaluate(w))
             fixed = {c: v[c] for c in XY if c not in resets}
             want = fiber_min(zone, pz.cost, fixed, closed=True)
             if bottom:
