@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -47,7 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uniform-m", action="store_true",
                    help="use one global maximal constant for all clocks")
     p.add_argument("--cap", type=int, default=None, help="iteration cap")
-    p.add_argument("--timeout", type=float, default=None, help="time cap in seconds")
+    p.add_argument("--timeout", type=float, default=None,
+                   help="time cap in seconds for the exploration, and again for --oracle")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the corner-point abstraction")
     p.add_argument("--witness", type=_fraction, default=None, metavar="EPS",
@@ -134,7 +136,10 @@ def main(argv=None) -> int:
             report["witness"] = None
     if args.oracle:
         try:
-            oracle_cost = corner_point_cost(automaton)
+            deadline = (
+                None if args.timeout is None else time.perf_counter() + args.timeout
+            )
+            oracle_cost = corner_point_cost(automaton, deadline=deadline)
             report["oracle"] = {
                 "cost": _cost_str(oracle_cost),
                 "agrees": oracle_cost == verdict.cost,

@@ -71,7 +71,9 @@ class Facet:
 class Zone:
     """A canonical DBM over an ordered clock set (reference clock at index 0)."""
 
-    __slots__ = ("clocks", "m", "_empty", "_index", "_hash")
+    # _cells memoizes the M-cells of inclusion.m_cells as (copy of M, cells);
+    # like _hash it is derived data, ignored by ==, hash and repr
+    __slots__ = ("clocks", "m", "_empty", "_index", "_hash", "_cells")
 
     def __init__(self, clocks: Sequence[str], m: Sequence[int], *, canonical: bool = False):
         self.clocks = tuple(clocks)
@@ -81,6 +83,7 @@ class Zone:
             raise ValueError("matrix size does not match clock count")
         self._index = {c: i + 1 for i, c in enumerate(self.clocks)}
         self._hash = None
+        self._cells = None
         if canonical:
             self.m = tuple(mat)
             self._empty = False
@@ -260,6 +263,7 @@ class Zone:
         z.clocks = tuple(clocks)
         z._index = {c: i + 1 for i, c in enumerate(z.clocks)}
         z._hash = None
+        z._cells = None
         z.m = tuple(_empty_matrix(n))
         z._empty = True
         return z
@@ -279,7 +283,18 @@ class Zone:
         if self._empty:
             return False
         n = len(self.clocks) + 1
-        vals = [Fraction(0)] + [Fraction(v[c]) for c in self.clocks]
+        vals = [0] + [v[c] for c in self.clocks]
+        if all(type(x) is int for x in vals):
+            # an integer difference d meets the encoded bound e iff the
+            # non-strict encoding of d does not exceed e
+            for i in range(n):
+                row = i * n
+                for j in range(n):
+                    e = self.m[row + j]
+                    if e < INF and encode(vals[i] - vals[j], False) > e:
+                        return False
+            return True
+        vals = [Fraction(x) for x in vals]
         for i in range(n):
             for j in range(n):
                 e = self.m[i * n + j]

@@ -123,6 +123,27 @@ def clock_preorder(zone: Zone, m: MaxConstants) -> ClockPreorder:
     return ClockPreorder(clocks, below, frozenset(below_m), frozenset(above))
 
 
+def m_cells(zone: Zone, m: MaxConstants) -> dict[frozenset[str], tuple[Zone, Zone]]:
+    """The zone's non-empty cells under M: Y -> (cell, cell projected onto Y).
+
+    Only downward-closed sets of the clock preorder can have non-empty cells,
+    so the map holds every Y whose cell is non-empty.  The result is stored
+    on the zone with a copy of M and reused while M compares equal, so each
+    zone computes its cells once however many tests it takes part in.
+    """
+    memo = zone._cells
+    if memo is not None and memo[0] == m:
+        return memo[1]
+    cells: dict[frozenset[str], tuple[Zone, Zone]] = {}
+    if not zone.is_empty:
+        for y in clock_preorder(zone, m).downward_closed_sets():
+            cell = restrict_y(zone, y, m)
+            if not cell.is_empty:
+                cells[y] = (cell, cell.project([c for c in zone.clocks if c in y]))
+    zone._cells = (dict(m), cells)
+    return cells
+
+
 def unpriced_m_inclusion(zone: Zone, other: Zone, m: MaxConstants) -> bool:
     """Every valuation of ``zone`` has an M-equivalent valuation in ``other``.
 
@@ -130,15 +151,10 @@ def unpriced_m_inclusion(zone: Zone, other: Zone, m: MaxConstants) -> bool:
     """
     if zone.clocks != other.clocks:
         raise ValueError("clock sets differ")
-    if zone.is_empty:
-        return True
-    pre = clock_preorder(zone, m)
-    for y in pre.downward_closed_sets():
-        cell = restrict_y(zone, y, m)
-        if cell.is_empty:
-            continue
-        keep = [c for c in zone.clocks if c in y]
-        if not cell.project(keep).subset(restrict_y(other, y, m).project(keep)):
+    theirs = m_cells(other, m)
+    for y, (_, proj) in m_cells(zone, m).items():
+        match = theirs.get(y)
+        if match is None or not proj.subset(match[1]):
             return False
     return True
 
@@ -209,13 +225,14 @@ def s_value(
     if pz.clocks != other.clocks:
         raise ValueError("clock sets differ")
     y = frozenset(y)
-    cell = restrict_y(pz.zone, y, m)
-    if cell.is_empty:
+    mine = m_cells(pz.zone, m).get(y)
+    if mine is None:
         return NEG_INF, None
-    cell2 = restrict_y(other.zone, y, m)
-    keep = [c for c in pz.clocks if c in y]
-    if not cell.project(keep).subset(cell2.project(keep)):
+    cell, proj = mine
+    theirs = m_cells(other.zone, m).get(y)
+    if theirs is None or not proj.subset(theirs[1]):
         raise ValueError("projection precondition violated")
+    cell2 = theirs[0]
     left = facet_reduce(PricedZone(cell, pz.cost), y)
     right = [(z.closure(), c) for z, c in facet_reduce(PricedZone(cell2, other.cost), y)]
     best: Fraction | float = NEG_INF
@@ -242,17 +259,14 @@ def includes(pz: PricedZone, other: PricedZone, m: MaxConstants) -> bool:
     left_lb = is_lower_bounded(pz)
     if not left_lb and is_lower_bounded(other):
         return False
-    pre = clock_preorder(pz.zone, m)
-    for y in pre.downward_closed_sets():
-        cell = restrict_y(pz.zone, y, m)
-        if cell.is_empty:
-            continue
-        if other.cost.minus_infinity:
-            continue
-        cell2 = restrict_y(other.zone, y, m)
-        if cell2.is_empty:  # cannot happen once the unpriced test passed
+    if other.cost.minus_infinity:
+        return True
+    theirs = m_cells(other.zone, m)
+    for y, (cell, _) in m_cells(pz.zone, m).items():
+        match = theirs.get(y)
+        if match is None:  # cannot happen once the unpriced test passed
             return False
-        right = PricedZone(cell2, other.cost)
+        right = PricedZone(match[0], other.cost)
         if not is_lower_bounded(right):
             continue  # an arbitrarily cheap match exists in the cell
         if pz.cost.minus_infinity or not is_lower_bounded(PricedZone(cell, pz.cost)):

@@ -14,6 +14,7 @@ Desk-scale ground truth only; never used inside the exploration.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -25,7 +26,12 @@ ABOVE = ("above",)
 
 
 class OracleCapExceeded(RuntimeError):
-    pass
+    """The oracle hit its state cap or its deadline before finishing."""
+
+
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.perf_counter() >= deadline:
+        raise OracleCapExceeded("corner-point oracle ran past its deadline")
 
 
 @dataclass(frozen=True)
@@ -198,8 +204,12 @@ class CornerGraph:
 
 
 def build_corner_point(a: Automaton, m: Mapping[str, int | None] | None = None,
-                       cap: int = 10 ** 6) -> CornerGraph:
-    """The weighted corner-point graph of a flat automaton (lazy, reachable part)."""
+                       cap: int = 10 ** 6, deadline: float | None = None) -> CornerGraph:
+    """The weighted corner-point graph of a flat automaton (lazy, reachable part).
+
+    ``deadline`` is a ``time.perf_counter()`` value; past it, or beyond ``cap``
+    corner states, the construction raises :class:`OracleCapExceeded`.
+    """
     from .model import max_constants
 
     if m is None:
@@ -227,6 +237,7 @@ def build_corner_point(a: Automaton, m: Mapping[str, int | None] | None = None,
     graph.initial = get(CornerState(a.initial, r0, c0))
 
     while todo:
+        _check_deadline(deadline)
         node = todo.pop()
         u = index[node]
         loc = a.location(node.location)
@@ -264,11 +275,13 @@ def build_corner_point(a: Automaton, m: Mapping[str, int | None] | None = None,
     return graph
 
 
-def optimal_cost_cp(graph: CornerGraph, goal_locations: frozenset[str]) -> Fraction | float:
+def optimal_cost_cp(graph: CornerGraph, goal_locations: frozenset[str],
+                    deadline: float | None = None) -> Fraction | float:
     """Shortest-path cost from the initial corner state to any goal location.
 
     -oo exactly when a negative cycle lies on some init-to-goal path; +oo when
-    no goal corner state is reachable.
+    no goal corner state is reachable.  Past ``deadline`` (a
+    ``time.perf_counter()`` value) it raises :class:`OracleCapExceeded`.
     """
     if graph.initial is None:
         return POS_INF
@@ -294,6 +307,7 @@ def optimal_cost_cp(graph: CornerGraph, goal_locations: frozenset[str]) -> Fract
     dist: dict[int, int | float] = {i: POS_INF for i in coreach}
     dist[graph.initial] = 0
     for _ in range(len(coreach) - 1):
+        _check_deadline(deadline)
         changed = False
         for u, v, w in sub_edges:
             d = dist[u]
@@ -311,6 +325,6 @@ def optimal_cost_cp(graph: CornerGraph, goal_locations: frozenset[str]) -> Fract
 
 
 def corner_point_cost(a: Automaton, m: Mapping[str, int | None] | None = None,
-                      cap: int = 10 ** 6) -> Fraction | float:
-    graph = build_corner_point(a, m, cap)
-    return optimal_cost_cp(graph, a.goal_locations)
+                      cap: int = 10 ** 6, deadline: float | None = None) -> Fraction | float:
+    graph = build_corner_point(a, m, cap, deadline)
+    return optimal_cost_cp(graph, a.goal_locations, deadline)

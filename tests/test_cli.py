@@ -56,6 +56,16 @@ def test_oracle_flag(capsys):
     assert report["oracle"] == {"cost": "11", "agrees": True}
 
 
+def test_oracle_honours_timeout(capsys):
+    code, out = _run(
+        capsys, MODELS / "fig2left.wta", "--oracle", "--timeout", "0", "--stats", "json"
+    )
+    assert code == 0
+    oracle = json.loads(out)["oracle"]
+    assert oracle["cost"] is None and oracle["agrees"] is None
+    assert "deadline" in oracle["error"]
+
+
 def test_witness_flag(capsys):
     code, out = _run(
         capsys, MODELS / "fig2left.wta", "--witness", "1/1000", "--stats", "json"

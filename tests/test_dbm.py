@@ -127,6 +127,16 @@ def test_reset_sample_membership_both_ways():
     assert not r.contains({"x": F(1, 2), "y": 1})
 
 
+def test_contains_integer_path_matches_rational_path():
+    rng = random.Random(13)
+    for _ in range(40):
+        z = random_zone(rng, XY, 3)
+        for xv in range(-1, 5):
+            for yv in range(-1, 5):
+                want = z.contains({"x": F(xv), "y": F(yv)})
+                assert z.contains({"x": xv, "y": yv}) == want
+
+
 def test_project_origin():
     assert Zone.origin(XY).project(["x"]) == Zone.origin(("x",))
 

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from grid_oracles import brute_includes, random_priced_zone, random_zone
-from zonecost.dbm import NEG_INF, Zone
+from zonecost.dbm import NEG_INF, Zone, inf_affine
 from zonecost.inclusion import (
     LowerBoundViolation,
     clock_preorder,
@@ -18,7 +18,7 @@ from zonecost.inclusion import (
     uniform_bounds,
     unpriced_m_inclusion,
 )
-from zonecost.priced import AffineCost, PricedZone
+from zonecost.priced import AffineCost, PricedZone, mincost
 
 XY = ("x", "y")
 M4 = {"x": 2, "y": 3}
@@ -330,3 +330,66 @@ def test_includes_transitive_on_weakened_chains():
 def test_includes_mismatched_clocks_raises():
     with pytest.raises(ValueError):
         includes(priced(Zone.origin(("x",))), priced(Zone.origin(("y",))), {"x": 1, "y": 1})
+
+
+# -- memoized derived data ---------------------------------------------------------
+
+
+def _fresh(pz: PricedZone) -> PricedZone:
+    return PricedZone(Zone(pz.zone.clocks, pz.zone.m), pz.cost)
+
+
+def test_cell_memo_follows_m_by_value():
+    # every answer changes from one M to the next, so a memo keyed on the
+    # identity of M, or holding M itself rather than a copy, answers stale
+    a = priced(Zone.from_constraints(
+        XY, [("x", None, 2, False), (None, "x", -2, False), ("y", None, 3, False)]
+    ), {"x": 2, "y": 2}, 1)
+    b = priced(Zone.from_constraints(
+        XY, [(None, "x", -1, False), ("y", "x", 0, False), ("x", "y", 2, False)]
+    ), {"y": 1}, 3)
+    ys = [frozenset(), frozenset({"x"}), frozenset({"y"}), frozenset(XY)]
+
+    def answers(p, q, m):
+        return (unpriced_m_inclusion(p.zone, q.zone, m), includes(p, q, m),
+                [s_value(p, p, y, m)[0] for y in ys])
+
+    per_clock = {"x": 1, "y": 3}
+    uniform = uniform_bounds(per_clock)
+    seen = []
+    for step in range(3):
+        if step == 2:
+            uniform["y"] = 0
+        m = per_clock if step == 0 else uniform
+        got = answers(a, b, m)
+        assert got == answers(_fresh(a), _fresh(b), m)
+        seen.append(got)
+    assert seen[0] != seen[1] != seen[2]
+
+
+def test_memos_invisible_to_eq_hash_repr():
+    z = fig4_zone()
+    pz = priced(z, {"x": 1, "y": -1}, 2)
+    twin = _fresh(pz)
+    before = (repr(z), repr(pz), hash(z), hash(pz))
+    includes(pz, pz, M4)
+    mincost(pz)
+    assert z._cells is not None and twin.zone._cells is None
+    assert pz._mincost is not None and twin._mincost is None
+    assert (repr(z), repr(pz), hash(z), hash(pz)) == before
+    assert z == twin.zone and pz == twin
+    assert hash(z) == hash(twin.zone) and hash(pz) == hash(twin)
+    assert repr(z) == repr(twin.zone) and repr(pz) == repr(twin)
+
+
+def test_memoized_mincost_equals_lp_value():
+    rng = random.Random(59)
+    for _ in range(30):
+        pz = random_priced_zone(rng, XY, 4)
+        value = mincost(pz)
+        if pz.cost.minus_infinity:
+            want = NEG_INF
+        else:
+            want, _ = inf_affine(pz.zone, pz.cost.coeff_map(), pz.cost.const)
+        assert value == want
+        assert mincost(pz) == want and pz._mincost == want

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 import warnings
 from fractions import Fraction as F
 
@@ -141,6 +142,15 @@ def test_cap_enforced():
     a = load_automaton("als_small")
     with pytest.raises(OracleCapExceeded):
         build_corner_point(a, cap=10)
+
+
+def test_deadline_enforced():
+    a = load_automaton("fig2left")
+    with pytest.raises(OracleCapExceeded):
+        build_corner_point(a, deadline=time.perf_counter())
+    g = build_corner_point(a)
+    with pytest.raises(OracleCapExceeded):
+        optimal_cost_cp(g, a.goal_locations, deadline=time.perf_counter())
 
 
 def test_fig2left_shortest_path_value():
