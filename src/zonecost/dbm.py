@@ -283,18 +283,8 @@ class Zone:
         if self._empty:
             return False
         n = len(self.clocks) + 1
+        # int and Fraction coordinates mix exactly; no conversion needed
         vals = [0] + [v[c] for c in self.clocks]
-        if all(type(x) is int for x in vals):
-            # an integer difference d meets the encoded bound e iff the
-            # non-strict encoding of d does not exceed e
-            for i in range(n):
-                row = i * n
-                for j in range(n):
-                    e = self.m[row + j]
-                    if e < INF and encode(vals[i] - vals[j], False) > e:
-                        return False
-            return True
-        vals = [Fraction(x) for x in vals]
         for i in range(n):
             for j in range(n):
                 e = self.m[i * n + j]

@@ -10,7 +10,7 @@ coefficients); non-lower-bounded costs are represented by a -oo sentinel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -123,10 +123,6 @@ class PricedZone:
 
     zone: Zone
     cost: AffineCost
-    # memo of mincost(); derived data, ignored by ==, hash and repr
-    _mincost: Fraction | float | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.zone.clocks != self.cost.clocks and not self.cost.minus_infinity:
@@ -142,17 +138,11 @@ class PricedZone:
 
 
 def mincost(pz: PricedZone) -> Fraction | float:
-    """inf of the cost function over the zone; -oo for the sentinel.
-
-    Computed once per priced zone and stored on it.
-    """
-    if pz._mincost is None:
-        if pz.cost.minus_infinity:
-            value = NEG_INF
-        else:
-            value, _ = inf_affine(pz.zone, pz.cost.coeff_map(), pz.cost.const)
-        object.__setattr__(pz, "_mincost", value)
-    return pz._mincost
+    """inf of the cost function over the zone; -oo for the sentinel."""
+    if pz.cost.minus_infinity:
+        return NEG_INF
+    value, _ = inf_affine(pz.zone, pz.cost.coeff_map(), pz.cost.const)
+    return value
 
 
 def is_lower_bounded(pz: PricedZone) -> bool:

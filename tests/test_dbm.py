@@ -127,7 +127,7 @@ def test_reset_sample_membership_both_ways():
     assert not r.contains({"x": F(1, 2), "y": 1})
 
 
-def test_contains_integer_path_matches_rational_path():
+def test_contains_int_and_fraction_points_agree():
     rng = random.Random(13)
     for _ in range(40):
         z = random_zone(rng, XY, 3)

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from grid_oracles import brute_includes, random_priced_zone, random_zone
-from zonecost.dbm import NEG_INF, Zone, inf_affine
+from zonecost.dbm import NEG_INF, Zone
 from zonecost.inclusion import (
     LowerBoundViolation,
     clock_preorder,
@@ -18,7 +18,7 @@ from zonecost.inclusion import (
     uniform_bounds,
     unpriced_m_inclusion,
 )
-from zonecost.priced import AffineCost, PricedZone, mincost
+from zonecost.priced import AffineCost, PricedZone
 
 XY = ("x", "y")
 M4 = {"x": 2, "y": 3}
@@ -367,29 +367,12 @@ def test_cell_memo_follows_m_by_value():
     assert seen[0] != seen[1] != seen[2]
 
 
-def test_memos_invisible_to_eq_hash_repr():
+def test_cell_memo_invisible_to_eq_hash_repr():
     z = fig4_zone()
     pz = priced(z, {"x": 1, "y": -1}, 2)
-    twin = _fresh(pz)
-    before = (repr(z), repr(pz), hash(z), hash(pz))
+    twin = _fresh(pz).zone
+    before = (repr(z), hash(z))
     includes(pz, pz, M4)
-    mincost(pz)
-    assert z._cells is not None and twin.zone._cells is None
-    assert pz._mincost is not None and twin._mincost is None
-    assert (repr(z), repr(pz), hash(z), hash(pz)) == before
-    assert z == twin.zone and pz == twin
-    assert hash(z) == hash(twin.zone) and hash(pz) == hash(twin)
-    assert repr(z) == repr(twin.zone) and repr(pz) == repr(twin)
-
-
-def test_memoized_mincost_equals_lp_value():
-    rng = random.Random(59)
-    for _ in range(30):
-        pz = random_priced_zone(rng, XY, 4)
-        value = mincost(pz)
-        if pz.cost.minus_infinity:
-            want = NEG_INF
-        else:
-            want, _ = inf_affine(pz.zone, pz.cost.coeff_map(), pz.cost.const)
-        assert value == want
-        assert mincost(pz) == want and pz._mincost == want
+    assert z._cells is not None and twin._cells is None
+    assert (repr(z), hash(z)) == before
+    assert z == twin and hash(z) == hash(twin) and repr(z) == repr(twin)
