@@ -117,16 +117,7 @@ class Zone:
         constraints: Iterable[tuple[str | None, str | None, int, bool]],
     ) -> "Zone":
         """Build a zone from constraints ``a - b (<|<=) value`` (None = reference)."""
-        z = Zone.universal(clocks)
-        mat = list(z.m)
-        n = len(z.clocks) + 1
-        for a, b, value, strict in constraints:
-            i = 0 if a is None else z._index[a]
-            j = 0 if b is None else z._index[b]
-            enc = encode(value, strict)
-            if enc < mat[i * n + j]:
-                mat[i * n + j] = enc
-        return Zone(clocks, mat)
+        return Zone.universal(clocks).intersect(constraints)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -176,30 +167,45 @@ class Zone:
     # -- operations --------------------------------------------------------
 
     def intersect(self, constraints: Iterable[tuple[str | None, str | None, int, bool]]) -> "Zone":
-        """Conjoin difference constraints ``a - b (<|<=) value`` and re-canonicalize."""
+        """Conjoin difference constraints ``a - b (<|<=) value``.
+
+        Returns ``self`` when no constraint is stricter than the zone.
+        """
         if self._empty:
             return self
         n = len(self.clocks) + 1
-        mat = list(self.m)
-        dirty = False
-        for a, b, value, strict in constraints:
-            i = 0 if a is None else self._index[a]
-            j = 0 if b is None else self._index[b]
-            enc = encode(value, strict)
-            if enc < mat[i * n + j]:
-                mat[i * n + j] = enc
-                dirty = True
-        if not dirty:
-            return self
-        return Zone(self.clocks, mat)
+        index = self._index
+        return self._conjoin(
+            (
+                (0 if a is None else index[a]) * n + (0 if b is None else index[b]),
+                encode(value, strict),
+            )
+            for a, b, value, strict in constraints
+        )
 
     def intersect_zone(self, other: "Zone") -> "Zone":
         if self.clocks != other.clocks:
             raise ValueError("clock sets differ")
         if self._empty or other._empty:
             return self if self._empty else other
-        mat = [min(a, b) for a, b in zip(self.m, other.m)]
-        return Zone(self.clocks, mat)
+        return self._conjoin(enumerate(other.m))
+
+    def _conjoin(self, bounds: Iterable[tuple[int, int]]) -> "Zone":
+        """Tighten by encoded bounds given as (flat matrix index, bound), each
+        only if stricter than the partly tightened matrix, so implied bounds
+        cost nothing."""
+        n = len(self.clocks) + 1
+        mat = self.m
+        for k, e in bounds:
+            if e < mat[k]:
+                if mat is self.m:
+                    mat = list(mat)
+                i, j = divmod(k, n)
+                if _tighten(mat, n, i, j, e):
+                    return Zone.empty(self.clocks)
+        if mat is self.m:
+            return self
+        return Zone(self.clocks, mat, canonical=True)
 
     def up(self) -> "Zone":
         """Delay closure: drop individual upper bounds (stays canonical)."""
@@ -433,6 +439,30 @@ def _close(mat: list[int], n: int) -> bool:
     return False
 
 
+def _tighten(mat: list[int], n: int, i: int, j: int, e: int) -> bool:
+    """Conjoin ``x_i - x_j <= e`` to a canonical matrix in place in O(n^2);
+    returns True when the result is empty (Bengtsson & Yi 2004).
+
+    A new shortest path a -> b uses the new arc i -> j at most once, so it is
+    a -> i, then the arc, then j -> b; a = i, b = j sets the arc itself, as
+    the diagonal is zero.  Once the emptiness check has passed, no entry of
+    column i or row j can shrink, so the pass can update the matrix in place.
+    """
+    if bound_add(mat[j * n + i], e) < LE_ZERO:
+        return True
+    row = mat[j * n : j * n + n]
+    for a in range(n):
+        ae = bound_add(mat[a * n + i], e)
+        if ae >= INF:
+            continue
+        base = a * n
+        for b in range(n):
+            d = bound_add(ae, row[b])
+            if d < mat[base + b]:
+                mat[base + b] = d
+    return False
+
+
 def _empty_matrix(n: int) -> list[int]:
     mat = [encode(-1, False)] * (n * n)
     return mat
@@ -462,9 +492,9 @@ def sup_affine(
     if zone.is_empty:
         raise EmptyZoneError("sup over an empty zone")
     n = len(zone.clocks) + 1
-    rates = [Fraction(coeffs.get(c, 0)) for c in zone.clocks]
+    rates = [coeffs.get(c, 0) for c in zone.clocks]
     scale = lcm(1, *(r.denominator for r in rates))
-    supply = [0] + [int(r * scale) for r in rates]
+    supply = [0] + [r.numerator * (scale // r.denominator) for r in rates]
     supply[0] = -sum(supply)
     # the sup over the closure ignores strictness
     arcs = [

@@ -6,15 +6,18 @@ from fractions import Fraction as F
 import pytest
 
 from grid_oracles import fm_minimize, random_point, random_zone, zone_constraints
+from zonecost import dbm
 from zonecost.dbm import (
     INF,
     EmptyZoneError,
     UnboundedZoneError,
     Zone,
+    bound_value,
     encode,
     inf_affine,
     sup_affine,
 )
+from zonecost.inclusion import restrict_y
 
 XY = ("x", "y")
 
@@ -75,6 +78,57 @@ def test_intersect_empty_absorbs():
     empty = Zone.from_constraints(("x",), [("x", None, 0, True)])  # x < 0
     assert empty.is_empty
     assert empty.intersect([("x", None, 5, False)]).is_empty
+
+
+def random_constraints(rng: random.Random, z: Zone, k: int) -> list:
+    """``k`` constraints on z's clocks, strict or not; some contradict z."""
+    names = (None,) + z.clocks
+    out = []
+    for _ in range(k):
+        a, b = rng.sample(names, 2)
+        back = entry(z, b, a)
+        if back < INF and rng.random() < 0.25:
+            out.append((a, b, -bound_value(back), True))  # a - b < -(b - a)
+        else:
+            out.append((a, b, rng.randint(-4, 4), rng.random() < 0.4))
+    return out
+
+
+def test_intersections_match_full_closure_random():
+    # references: the entrywise min of the raw bounds, closed by the constructor
+    rng = random.Random(20261018)
+    outcomes = {"unchanged": 0, "tightened": 0, "empty": 0}
+    for _ in range(300):
+        clocks = ("v", "w", "x", "y", "z")[: rng.randint(1, 5)]
+        n = len(clocks) + 1
+        a, b = random_zone(rng, clocks, 4), random_zone(rng, clocks, 4)
+        cons = random_constraints(rng, a, rng.randint(1, 4))
+        raw = list(a.m)
+        for p, q, value, strict in cons:
+            k = (0 if p is None else a.idx(p)) * n + (0 if q is None else a.idx(q))
+            raw[k] = min(raw[k], encode(value, strict))
+        got, want = a.intersect(cons), Zone(a.clocks, raw)
+        assert (got.m, got.is_empty) == (want.m, want.is_empty)
+        assert (got is a) == (raw == list(a.m))
+        outcomes["empty" if got.is_empty else "unchanged" if got is a else "tightened"] += 1
+        got = a.intersect_zone(b)
+        want = Zone(a.clocks, [min(x, y) for x, y in zip(a.m, b.m)])
+        assert (got.m, got.is_empty) == (want.m, want.is_empty)
+        outcomes["empty" if got.is_empty else "unchanged" if got is a else "tightened"] += 1
+    assert min(outcomes.values()) >= 30
+
+
+def test_intersections_never_rerun_full_closure(monkeypatch):
+    def full_closure(mat, n):
+        raise AssertionError("intersection of canonical zones ran a full closure")
+
+    monkeypatch.setattr(dbm, "_close", full_closure)
+    z, cell = fig4_zone(), fig4_cell()
+    assert entry(z.intersect([("x", None, 1, True)]), "y", None) == encode(3, True)
+    assert z.intersect([("x", "y", -3, False)]).is_empty
+    assert z.intersect_zone(cell) == cell
+    assert {f.pivot for f in z.facets("y", "lower")} == {(None, 1), ("x", 0)}
+    assert restrict_y(z, frozenset({"x"}), {"x": 1, "y": 1}).contains({"x": 1, "y": F(3, 2)})
 
 
 def test_up_origin_is_diagonal():
@@ -372,7 +426,15 @@ def test_operations_return_canonical_zones():
     rng = random.Random(29)
     for _ in range(25):
         z = random_zone(rng, XY, 3)
-        for derived in (z.up(), z.reset(["y"]), z.project(["x"]), z.closure()):
+        derived_zones = (
+            z.up(),
+            z.reset(["y"]),
+            z.project(["x"]),
+            z.closure(),
+            z.intersect([("x", "y", rng.randint(-2, 2), True), ("y", None, 2, False)]),
+            z.intersect_zone(random_zone(rng, XY, 3)),
+        )
+        for derived in derived_zones:
             assert Zone(derived.clocks, derived.m) == derived
 
 
