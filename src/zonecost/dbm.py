@@ -71,8 +71,9 @@ class Facet:
 class Zone:
     """A canonical DBM over an ordered clock set (reference clock at index 0)."""
 
-    # _cells memoizes the M-cells of inclusion.m_cells as (copy of M, cells);
-    # like _hash it is derived data, ignored by ==, hash and repr
+    # _cells memoizes inclusion's derived data under one M as (copy of M,
+    # M-cells, reduced pieces of the priced cells); like _hash it is derived
+    # data, ignored by ==, hash and repr
     __slots__ = ("clocks", "m", "_empty", "_index", "_hash", "_cells")
 
     def __init__(self, clocks: Sequence[str], m: Sequence[int], *, canonical: bool = False):
@@ -376,42 +377,47 @@ class Zone:
     # -- vertices --------------------------------------------------------------
 
     def vertices(self) -> list[dict[str, int]]:
-        """All vertices of the closure polyhedron (requires a bounded closure)."""
+        """All vertices of the closure polyhedron (requires a bounded closure).
+
+        Nodes that the closure fixes at a constant offset from an earlier node
+        (``m_ij + m_ji = 0``, the reference clock included) form one class,
+        the zero-cycle classes of the minimal-constraint form (Larsen et al.,
+        RTSS 1997).  The closure is affinely the polyhedron of the class
+        representatives, whose DBM is a submatrix of a canonical DBM and so
+        canonical, so the vertices are enumerated there and expanded by the
+        offsets: the work scales with the zone's dimension, not its clocks.
+        """
         if self._empty:
             raise EmptyZoneError("vertices of an empty zone")
         n = len(self.clocks) + 1
+        m = self.m
         for i in range(1, n):
-            if self.m[i * n + 0] >= INF:
+            if m[i * n + 0] >= INF:
                 raise UnboundedZoneError("vertex enumeration needs a bounded zone")
-        closed = self.closure()
-        found: set[tuple[int, ...]] = set()
-        seen: set[frozenset[tuple[int, int]]] = set()
-        # a vertex is pinned by a spanning tree of tight constraints rooted at
-        # 0: attach one unassigned node at a time through any finite bound
-        stack: list[dict[int, int]] = [{0: 0}]
-        while stack:
-            values = stack.pop()
-            key = frozenset(values.items())
-            if key in seen:
-                continue
-            seen.add(key)
-            if len(values) == n:
-                point = tuple(values[i] for i in range(1, n))
-                if closed.contains(dict(zip(self.clocks, point))):
-                    found.add(point)
-                continue
-            for i in range(n):
-                if i in values:
-                    continue
-                for j, vj in values.items():
-                    e = closed.m[i * n + j]
-                    if e < INF:
-                        stack.append({**values, i: vj + bound_value(e)})
-                    e = closed.m[j * n + i]
-                    if e < INF:
-                        stack.append({**values, i: vj - bound_value(e)})
+        reps: list[int] = []  # one node per class, the reference clock first
+        # node i sits at x_reps[at[i]] + offset[i]; in a canonical DBM zero
+        # cycles are transitive, so comparing with representatives suffices
+        at = [0] * n
+        offset = [0] * n
+        for i in range(n):
+            for k, r in enumerate(reps):
+                ir, ri = m[i * n + r], m[r * n + i]
+                if ir < INF and ri < INF and bound_value(ir) + bound_value(ri) == 0:
+                    at[i], offset[i] = k, bound_value(ir)
+                    break
+            else:
+                at[i] = len(reps)
+                reps.append(i)
+        if len(reps) == n:
+            found = _tree_vertices(m, n)
+        else:
+            sub = [m[a * n + b] for a in reps for b in reps]
+            found = {
+                tuple(p[at[i]] + offset[i] for i in range(n))
+                for p in _tree_vertices(sub, len(reps))
+            }
         return [
-            {c: p[k] for k, c in enumerate(self.clocks)} for p in sorted(found)
+            {c: p[k] for k, c in enumerate(self.clocks, 1)} for p in sorted(found)
         ]
 
 
@@ -461,6 +467,45 @@ def _tighten(mat: list[int], n: int, i: int, j: int, e: int) -> bool:
             if d < mat[base + b]:
                 mat[base + b] = d
     return False
+
+
+def _tree_vertices(mat: Sequence[int], n: int) -> set[tuple[int, ...]]:
+    """Vertices of the closure of a bounded canonical DBM, as the values of
+    nodes 0..n-1 (node 0 is the reference clock, always 0).
+
+    A vertex is pinned by a spanning tree of tight constraints rooted at 0:
+    attach one unassigned node at a time through any finite bound, then keep
+    the complete assignments that satisfy every bound.
+    """
+    found: set[tuple[int, ...]] = set()
+    seen: set[frozenset[tuple[int, int]]] = set()
+    stack: list[dict[int, int]] = [{0: 0}]
+    while stack:
+        values = stack.pop()
+        key = frozenset(values.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        if len(values) == n:
+            vals = [values[i] for i in range(n)]
+            if all(
+                mat[a * n + b] >= INF or vals[a] - vals[b] <= bound_value(mat[a * n + b])
+                for a in range(n)
+                for b in range(n)
+            ):
+                found.add(tuple(vals))
+            continue
+        for i in range(n):
+            if i in values:
+                continue
+            for j, vj in values.items():
+                e = mat[i * n + j]
+                if e < INF:
+                    stack.append({**values, i: vj + bound_value(e)})
+                e = mat[j * n + i]
+                if e < INF:
+                    stack.append({**values, i: vj - bound_value(e)})
+    return found
 
 
 def _empty_matrix(n: int) -> list[int]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -383,6 +384,99 @@ def test_vertices_brute_force_agreement():
                 if extreme:
                     brute.add(tuple(sorted(v.items())))
         assert got == brute  # Fraction(k) hashes like k, so the sets compare directly
+
+
+def lower_dimensional_zone(rng: random.Random, clocks: tuple[str, ...], cmax: int) -> Zone:
+    """A non-empty zone inside [0, cmax]^n, often with equalities ``x = c``,
+    diagonals ``x - y = c`` or pinned to a single point."""
+    while True:
+        if rng.random() < 0.15:
+            point = {c: rng.randint(0, cmax) for c in clocks}
+            cons = [(c, None, point[c], False) for c in clocks]
+            cons += [(None, c, -point[c], False) for c in clocks]
+        else:
+            cons = [(c, None, cmax, False) for c in clocks]
+            for c in clocks:
+                if rng.random() < 0.3:
+                    v = rng.randint(0, cmax)
+                    cons += [(c, None, v, False), (None, c, -v, False)]
+                elif rng.random() < 0.5:
+                    cons.append((None, c, -rng.randint(0, cmax), rng.random() < 0.3))
+            for a in clocks:
+                for b in clocks:
+                    if a < b and rng.random() < 0.35:
+                        v = rng.randint(-cmax, cmax)
+                        cons.append((a, b, v, False))
+                        if rng.random() < 0.6:
+                            cons.append((b, a, -v, False))
+                    elif a != b and rng.random() < 0.2:
+                        cons.append((a, b, rng.randint(-cmax, cmax), rng.random() < 0.3))
+        z = Zone.universal(clocks).intersect(cons)
+        if not z.is_empty:
+            return z
+
+
+def brute_vertices(z: Zone, cmax: int) -> set[tuple[int, ...]]:
+    """The integral points of the closure that are not midpoints of two others.
+
+    An integral point of an integral closed DBM is not a vertex iff it is the
+    midpoint of closure points ``v - d`` and ``v + d`` with every d_i in
+    {-1/2, 0, 1/2}: bounds tight at v force d to be constant across the
+    clocks they join (0 on the reference clock's class), and every other
+    bound has slack at least 1.
+    """
+    closed = z.closure()
+    n = len(z.clocks)
+    half = (F(-1, 2), F(0), F(1, 2))
+    # d and -d test the same pair, so keep the d whose first nonzero is > 0
+    steps = [
+        d for d in itertools.product(half, repeat=n)
+        if any(d) and next(x for x in d if x) > 0
+    ]
+    out = set()
+    for v in itertools.product(range(cmax + 1), repeat=n):
+        if not closed.contains(dict(zip(z.clocks, v))):
+            continue
+        if not any(
+            closed.contains({c: v[k] + d[k] for k, c in enumerate(z.clocks)})
+            and closed.contains({c: v[k] - d[k] for k, c in enumerate(z.clocks)})
+            for d in steps
+        ):
+            out.add(v)
+    return out
+
+
+def test_vertices_lower_dimensional_brute_force():
+    rng = random.Random(20261019)
+    merged = 0
+    for _ in range(80):
+        clocks = ("w", "x", "y", "z")[: rng.randint(1, 4)]
+        z = lower_dimensional_zone(rng, clocks, 3)
+        got = {tuple(v[c] for c in clocks) for v in z.vertices()}
+        assert got == brute_vertices(z, 3), z
+        n = len(clocks) + 1
+        merged += any(
+            bound_value(z.entry(i, j)) + bound_value(z.entry(j, i)) == 0
+            for i in range(n) for j in range(i + 1, n)
+        )
+    assert merged >= 40  # most draws take the quotient path
+
+
+def test_vertices_quotient_matches_plain_enumeration():
+    # the plain spanning-tree enumeration over all clocks is the reference
+    rng = random.Random(20261020)
+    merged = 0
+    for _ in range(300):
+        clocks = ("v", "w", "x", "y", "z")[: rng.randint(1, 5)]
+        z = lower_dimensional_zone(rng, clocks, 4)
+        plain = dbm._tree_vertices(z.m, len(clocks) + 1)  # (0, clock values...)
+        assert {(0,) + tuple(v[c] for c in clocks) for v in z.vertices()} == plain
+        n = len(clocks) + 1
+        merged += any(
+            bound_value(z.entry(i, j)) + bound_value(z.entry(j, i)) == 0
+            for i in range(n) for j in range(i + 1, n)
+        )
+    assert 100 <= merged <= 280  # both paths are exercised
 
 
 def test_sup_equals_max_over_vertices_when_bounded():

@@ -1,24 +1,37 @@
 from __future__ import annotations
 
+import gc
+import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
-from grid_oracles import brute_includes, random_priced_zone, random_zone
-from zonecost.dbm import NEG_INF, Zone
+from conftest import load_automaton
+from grid_oracles import (
+    brute_includes,
+    fiber_min,
+    random_priced_zone,
+    random_zone,
+    weaken,
+)
+from zonecost import inclusion, priced as priced_mod
+from zonecost.dbm import NEG_INF, Zone, sup_affine
+from zonecost.explorer import Config, explore
 from zonecost.inclusion import (
     LowerBoundViolation,
     clock_preorder,
     facet_reduce,
     includes,
+    m_cells,
     restrict_y,
     s_value,
     simple_includes,
     uniform_bounds,
     unpriced_m_inclusion,
 )
-from zonecost.priced import AffineCost, PricedZone
+from zonecost.priced import AffineCost, PricedZone, is_lower_bounded
 
 XY = ("x", "y")
 M4 = {"x": 2, "y": 3}
@@ -188,6 +201,57 @@ def test_facet_reduce_requires_lower_bounded():
     z = Zone.from_constraints(("x",), [(None, "x", -3, True)])
     with pytest.raises(LowerBoundViolation):
         facet_reduce(priced(z, {"x": -1}), frozenset())
+
+
+def test_facet_reduce_pieces_are_fiber_min_and_undominated():
+    # the pieces' pointwise minimum is the exact fiber infimum at every
+    # integral and half-integral projected point, and no piece is dominated
+    rng = random.Random(20261021)
+    clocks = ("x", "y", "z")
+    grid = [F(k, 2) for k in range(0, 8)]
+    reduced = several = 0
+    for _ in range(60):
+        pz = random_priced_zone(rng, clocks[: rng.randint(2, 3)], 3)
+        if not is_lower_bounded(pz):
+            continue
+        y = frozenset(c for c in pz.clocks if rng.random() < 0.5)
+        pieces = facet_reduce(pz, y)
+        closed = [(z.closure(), c) for z, c in pieces]
+        ydims = [c for c in pz.clocks if c in y]
+        for point in itertools.product(grid, repeat=len(ydims)):
+            u = dict(zip(ydims, point))
+            want = fiber_min(pz.zone, pz.cost, u)
+            covering = [c.evaluate(u) for z, c in closed if z.contains(u)]
+            assert (min(covering) if covering else None) == want
+        for (zp, cp), (zq, cq) in itertools.permutations(pieces, 2):
+            if zp.subset(zq):
+                diff = cq.minus(cp)
+                assert sup_affine(zp, diff.coeff_map(), diff.const)[0] > 0
+        reduced += len(y) < len(pz.clocks)
+        several += len(pieces) > 1
+    assert reduced >= 20 and several >= 3
+
+
+def test_s_value_witness_attains_value():
+    rng = random.Random(20261022)
+    checked = 0
+    for _ in range(80):
+        a = random_priced_zone(rng, XY, 3)
+        b = weaken(rng, a)
+        m = {"x": rng.randint(0, 3), "y": rng.randint(0, 3)}
+        theirs = m_cells(b.zone, m)
+        for y, (cell, proj) in m_cells(a.zone, m).items():
+            cell2 = theirs[y][0]
+            if not (is_lower_bounded(PricedZone(cell, a.cost))
+                    and is_lower_bounded(PricedZone(cell2, b.cost))):
+                continue
+            val, wit = s_value(a, b, y, m)
+            assert proj.closure().contains(wit)
+            left = fiber_min(cell, a.cost, wit)
+            right = fiber_min(cell2, b.cost, wit)
+            assert val == right - left
+            checked += 1
+    assert checked >= 60
 
 
 # -- S values -----------------------------------------------------------------------
@@ -374,5 +438,47 @@ def test_cell_memo_invisible_to_eq_hash_repr():
     before = (repr(z), hash(z))
     includes(pz, pz, M4)
     assert z._cells is not None and twin._cells is None
+    reduced = z._cells[2]
+    assert any(pieces is not None for pieces in reduced.values())
     assert (repr(z), hash(z)) == before
     assert z == twin and hash(z) == hash(twin) and repr(z) == repr(twin)
+
+
+def test_priced_cells_reduced_once(monkeypatch):
+    # each (cell, cost, Y) is reduced once, and each (cell, cost) has its lower
+    # bound found once, however many tests the cell takes part in
+    reductions: Counter = Counter()
+    bounds: Counter = Counter()
+    held = []  # keeps every counted zone alive, so no id is reused
+    facet_reduce_orig, mincost_orig = inclusion.facet_reduce, priced_mod.mincost
+
+    def counting_facet_reduce(pz, y):
+        held.append(pz.zone)
+        reductions[id(pz.zone), pz.cost, frozenset(y)] += 1
+        return facet_reduce_orig(pz, y)
+
+    def counting_mincost(pz):
+        held.append(pz.zone)
+        bounds[id(pz.zone), pz.cost] += 1
+        return mincost_orig(pz)
+
+    monkeypatch.setattr(inclusion, "facet_reduce", counting_facet_reduce)
+    monkeypatch.setattr(priced_mod, "mincost", counting_mincost)
+    verdict = explore(load_automaton("als_small"), Config())
+    assert verdict.stats.tests >= 20
+    assert len(reductions) >= 20 and len(bounds) >= 20
+    assert max(reductions.values()) == 1
+    assert max(bounds.values()) == 1
+
+
+def test_exploration_leaves_no_reference_cycles():
+    # derived data stored on zones refers to nothing that refers back, so
+    # every zone is freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("als_small", "fig2right"):
+            explore(load_automaton(name), Config())
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
