@@ -517,12 +517,13 @@ def _empty_matrix(n: int) -> list[int]:
 
 
 def sup_affine(
-    zone: Zone, coeffs: Mapping[str, Fraction], const: Fraction = Fraction(0)
-) -> tuple[Fraction | float, dict[str, int] | None]:
+    zone: Zone, coeffs: Mapping[str, int | Fraction], const: int | Fraction = 0
+) -> tuple[int | Fraction | float, dict[str, int] | None]:
     """Supremum of an affine function over the closure of a non-empty zone.
 
     Returns ``(value, witness)``; the witness is an integral point of the
-    closure attaining the supremum, or None when the supremum is +oo.
+    closure attaining the supremum, or None when the supremum is +oo.  The
+    value is an ``int`` when the coefficients and constant are.
 
     The dual of ``max c.x s.t. x_i - x_j <= m_ij`` is an uncapacitated
     transshipment: clock k supplies ``c_k`` units (scaled to integers), the
@@ -573,12 +574,12 @@ def sup_affine(
     # clocks are nonnegative (row 0 is finite), so 0 reaches every node
     dist, _ = _residual_distances(n, arcs, flow, [0])
     point = {c: -dist[k] for k, c in enumerate(zone.clocks, 1)}
-    return const + Fraction(total, scale), point
+    return const + (total if scale == 1 else Fraction(total, scale)), point
 
 
 def inf_affine(
-    zone: Zone, coeffs: Mapping[str, Fraction], const: Fraction = Fraction(0)
-) -> tuple[Fraction | float, dict[str, int] | None]:
+    zone: Zone, coeffs: Mapping[str, int | Fraction], const: int | Fraction = 0
+) -> tuple[int | Fraction | float, dict[str, int] | None]:
     """Infimum counterpart of :func:`sup_affine`; -oo when unbounded below."""
     neg = {c: -v for c, v in coeffs.items()}
     value, point = sup_affine(zone, neg, -const)

@@ -74,7 +74,7 @@ class SymbolicState:
 
 @dataclass
 class Verdict:
-    cost: Fraction | float
+    cost: Fraction | float  # a Fraction when finite, else POS_INF or NEG_INF
     terminated: bool
     stats: Stats
     witness_state: SymbolicState | None = None
@@ -169,7 +169,7 @@ def explore(
     stats = Stats()
     start = time.perf_counter()
     goals = a.goal_locations
-    cost: Fraction | float = POS_INF
+    cost: int | Fraction | float = POS_INF
     best: SymbolicState | None = None
     passed: dict[str, list[SymbolicState]] = {}
     waiting: list[SymbolicState] = _initial_states(a)
@@ -237,6 +237,8 @@ def explore(
             stats.max_stored = stored
 
     stats.wall_time = time.perf_counter() - start
+    if cost not in (POS_INF, NEG_INF):
+        cost = Fraction(cost)
     return Verdict(cost=cost, terminated=terminated, stats=stats,
                    witness_state=best, passed=passed)
 
@@ -312,9 +314,9 @@ def _fiber_point(parent_zone: Zone, cost: AffineCost, fixed: dict[str, Fraction]
     fiber = scaled.intersect(constraints)
     if fiber.is_empty:
         raise WitnessError("reset fiber must meet the guarded parent zone")
-    coeffs = {c: k / d for c, k in cost.coeff_map().items()}
-    w = _pick_point(fiber, AffineCost.of(fiber.clocks, coeffs, cost.const), budget * 1)
-    return {c: w[c] / d for c in fiber.clocks}
+    coeffs = {c: Fraction(k, d) for c, k in cost.coeff_map().items()}
+    w = _pick_point(fiber, AffineCost.of(fiber.clocks, coeffs, cost.const), budget)
+    return {c: Fraction(w[c], d) for c in fiber.clocks}
 
 
 def extract_witness(a: Automaton, state: SymbolicState, eps: Fraction) -> Run:

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-# inf_affine is not called here, but the benchmark's tracer wraps
-# ``inclusion.inf_affine`` by name, so the import stays bound
+# inf_affine and sup_affine are not called here, but the benchmark's tracer
+# wraps ``inclusion.inf_affine`` and ``inclusion.sup_affine`` by name, so the
+# imports stay bound
 from .dbm import NEG_INF, Zone, encode, inf_affine, sup_affine  # noqa: F401
-from .priced import AffineCost, PricedZone, _dedup, is_lower_bounded
+from .priced import AffineCost, PricedZone, _dedup, _dominates, is_lower_bounded
 
 # Per-clock maximal constants; None encodes "never compared" (-oo).
 MaxConstants = Mapping[str, int | None]
@@ -238,7 +239,7 @@ def facet_reduce(pz: PricedZone, y: frozenset[str] | set[str]) -> list[tuple[Zon
 
 def s_value(
     pz: PricedZone, other: PricedZone, y: frozenset[str] | set[str], m: MaxConstants
-) -> tuple[Fraction | float, dict[str, int] | None]:
+) -> tuple[int | Fraction | float, dict[str, int] | None]:
     """The per-cell supremum whose sign decides cell-wise inclusion.
 
     Requires the projection precondition and lower-bounded costs on both
@@ -265,7 +266,7 @@ def s_value(
     right = _reduced(other.zone, m, y, other.cost)
     if left is None or right is None:
         raise LowerBoundViolation("facet reduction needs a lower-bounded cost")
-    best: Fraction | float = NEG_INF
+    best: int | Fraction | float = NEG_INF
     witness: dict[str, int] | None = None
     for fz, fc in left:
         for u0 in fz.vertices():
@@ -311,12 +312,4 @@ def simple_includes(pz: PricedZone, other: PricedZone) -> bool:
     """Classical test: zone containment plus pointwise cost dominance."""
     if pz.clocks != other.clocks:
         raise ValueError("clock sets differ")
-    if not pz.zone.subset(other.zone):
-        return False
-    if other.cost.minus_infinity:
-        return True
-    if pz.cost.minus_infinity:
-        return False
-    diff = other.cost.minus(pz.cost)
-    hi, _ = sup_affine(pz.zone, diff.coeff_map(), diff.const)
-    return hi <= 0
+    return pz.zone.is_empty or _dominates(other, pz)

@@ -4,8 +4,11 @@ The successor operations split a priced zone into finitely many pieces whose
 pointwise minimum is the exact optimal cost of the one-step image: delaying
 enters the target valuation along the diagonal at the cheapest feasible time,
 resetting a clock minimizes the cost over the preimage fiber through the
-zone's facets.  All arithmetic is exact (integer zone bounds, rational cost
-coefficients); non-lower-bounded costs are represented by a -oo sentinel.
+zone's facets.  All arithmetic is exact: zone bounds are integers, and cost
+coefficients and constants are ``int``s, or ``Fraction``s only for rational
+inputs, since integer rates and weights keep every delay, reset and weight
+step integral.  Verdict costs and run delays, at the explorer's edge, are
+``Fraction``s.  Non-lower-bounded costs are represented by a -oo sentinel.
 """
 
 from __future__ import annotations
@@ -29,12 +32,15 @@ from .dbm import (
 class AffineCost:
     """Affine function over clock valuations, or the -oo sentinel.
 
-    The sentinel carries no coefficients; finite costs are exact rationals.
+    The sentinel carries no coefficients.  Finite costs are exact: :meth:`of`
+    stores integral values as ``int`` and keeps ``Fraction`` for the rest,
+    and the operations below keep integer costs integral, so integer models
+    never build a ``Fraction`` here.
     """
 
     clocks: tuple[str, ...]
-    coeffs: tuple[Fraction, ...]
-    const: Fraction
+    coeffs: tuple[int | Fraction, ...]
+    const: int | Fraction
     minus_infinity: bool = False
 
     @staticmethod
@@ -42,7 +48,7 @@ class AffineCost:
            const: Fraction | int = 0) -> "AffineCost":
         cs = tuple(clocks)
         m = coeffs or {}
-        return AffineCost(cs, tuple(Fraction(m.get(c, 0)) for c in cs), Fraction(const))
+        return AffineCost(cs, tuple(_exact(m.get(c, 0)) for c in cs), _exact(const))
 
     @staticmethod
     def zero(clocks: Sequence[str]) -> "AffineCost":
@@ -51,32 +57,31 @@ class AffineCost:
     @staticmethod
     def bottom(clocks: Sequence[str]) -> "AffineCost":
         """The MinusInfinity sentinel."""
-        return AffineCost(tuple(clocks), (), Fraction(0), minus_infinity=True)
+        return AffineCost(tuple(clocks), (), 0, minus_infinity=True)
 
-    def coeff(self, clock: str) -> Fraction:
+    def coeff(self, clock: str) -> int | Fraction:
         return self.coeffs[self.clocks.index(clock)]
 
-    def coeff_map(self) -> dict[str, Fraction]:
+    def coeff_map(self) -> dict[str, int | Fraction]:
         return dict(zip(self.clocks, self.coeffs))
 
-    def evaluate(self, v: Mapping[str, Fraction | int]) -> Fraction | float:
+    def evaluate(self, v: Mapping[str, Fraction | int]) -> int | Fraction | float:
         if self.minus_infinity:
             return NEG_INF
         return sum(
-            (c * Fraction(v[x]) for x, c in zip(self.clocks, self.coeffs)),
-            start=self.const,
+            (c * v[x] for x, c in zip(self.clocks, self.coeffs)), start=self.const
         )
 
-    def add_constant(self, w: Fraction | int) -> "AffineCost":
+    def add_constant(self, w: int | Fraction) -> "AffineCost":
         if self.minus_infinity:
             return self
-        return AffineCost(self.clocks, self.coeffs, self.const + Fraction(w))
+        return AffineCost(self.clocks, self.coeffs, self.const + w)
 
-    def diagonal_slope(self) -> Fraction:
+    def diagonal_slope(self) -> int | Fraction:
         """Directional derivative along the uniform-delay direction."""
-        return sum(self.coeffs, start=Fraction(0))
+        return sum(self.coeffs)
 
-    def shear(self, clock: str, delta: Fraction, anchor: int) -> "AffineCost":
+    def shear(self, clock: str, delta: int | Fraction, anchor: int) -> "AffineCost":
         """Add ``delta * (clock - anchor)`` to the function."""
         i = self.clocks.index(clock)
         coeffs = list(self.coeffs)
@@ -98,7 +103,7 @@ class AffineCost:
         else:
             clocks = self.clocks
             coeffs = list(self.coeffs)
-            coeffs[i] = Fraction(0)
+            coeffs[i] = 0
         const = self.const + cx * value
         if other is not None:
             j = clocks.index(other)
@@ -115,6 +120,15 @@ class AffineCost:
             tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
             self.const - other.const,
         )
+
+
+def _exact(x: int | Fraction) -> int | Fraction:
+    """``x`` as an ``int`` when integral; a ``TypeError`` unless int or Fraction."""
+    if isinstance(x, int):
+        return int(x)
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    raise TypeError(f"costs must be int or Fraction, not {type(x).__name__}")
 
 
 @dataclass(frozen=True)
@@ -137,7 +151,7 @@ class PricedZone:
         return self.zone.clocks
 
 
-def mincost(pz: PricedZone) -> Fraction | float:
+def mincost(pz: PricedZone) -> int | Fraction | float:
     """inf of the cost function over the zone; -oo for the sentinel."""
     if pz.cost.minus_infinity:
         return NEG_INF
@@ -170,6 +184,8 @@ def _dominates(q: PricedZone, p: PricedZone) -> bool:
     if p.cost.minus_infinity:
         return False
     diff = q.cost.minus(p.cost)
+    if not any(diff.coeffs):
+        return diff.const <= 0  # the sup of a constant over a non-empty zone
     hi, _ = sup_affine(p.zone, diff.coeff_map(), diff.const)
     return hi <= 0
 
@@ -199,7 +215,7 @@ def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
     up = zone.up()
     if pz.cost.minus_infinity:
         return [PricedZone(up, pz.cost)]
-    d = Fraction(rate) - pz.cost.diagonal_slope()
+    d = rate - pz.cost.diagonal_slope()
     if d == 0:
         return [PricedZone(up, pz.cost)]
 
@@ -229,8 +245,6 @@ def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
             pieces.insert(0, pz)
     else:
         for x in zone.clocks:
-            i = zone.idx(x)
-            lb = -bound_value(zone.m[0 * n + i])
             for facet in zone.facets(x, "lower"):
                 other, pivot = facet.pivot
                 if other is not None:

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import load_automaton
+from conftest import MODELS, load_automaton
 from zonecost.dbm import NEG_INF, POS_INF, Zone, encode
 from zonecost.explorer import (
     Config,
@@ -205,3 +205,43 @@ def test_observer_sees_all_tests(corpus):
     )
     assert len(pairs) == v.stats.tests
     assert sum(1 for _, _, r in pairs if r) == v.stats.successful_tests
+
+
+def _model_verdicts():
+    """Every model in ``models/`` under the default configuration, capped."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # negative-weight models warn about the cap
+        for path in sorted(MODELS.glob("*.wta")):
+            a = load_automaton(path.stem)
+            yield a, explore(a, Config(iteration_cap=5000))
+
+
+def test_exploration_builds_only_integer_costs(monkeypatch):
+    # integer rates and weights keep delay, reset and weight steps integral
+    built = []
+    init = AffineCost.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(AffineCost, "__init__", record)
+    verdicts = list(_model_verdicts())
+    assert len(verdicts) == len(list(MODELS.glob("*.wta")))
+    assert built
+    inexact = [c for c in built if any(type(k) is not int for k in (*c.coeffs, c.const))]
+    assert inexact == []
+
+
+def test_verdict_costs_and_run_delays_are_fractions(random_model_results):
+    checked = 0
+    pairs = list(_model_verdicts()) + [(a, v) for a, v, _ in random_model_results[0]]
+    for a, v in pairs:
+        if v.cost in (POS_INF, NEG_INF):
+            continue
+        assert type(v.cost) is F
+        run = extract_witness(a, v.witness_state, F(1, 1000))
+        delays = [d for d, _ in run.steps] + [run.trailing_delay]
+        assert all(type(d) is F for d in delays)
+        checked += 1
+    assert checked > 0

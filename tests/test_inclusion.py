@@ -324,6 +324,9 @@ def test_simple_includes_basics():
     bigger = priced(Zone.from_constraints(XY, [(None, "y", -1, False)]), {"x": 1}, 0)
     assert simple_includes(pz, bigger)
     assert not simple_includes(bigger, pz)
+    # an empty zone is included whatever the costs, as in the abstract test
+    empty = priced(Zone.empty(XY), {}, 5)
+    assert simple_includes(empty, pz) and includes(empty, pz, {"x": 2, "y": 2})
 
 
 def test_simple_includes_fig2right_incomparable():

@@ -35,6 +35,17 @@ def test_evaluate():
     assert AffineCost.bottom(XY).evaluate({"x": 0, "y": 0}) == NEG_INF
 
 
+def test_of_keeps_integral_values_as_int():
+    cost = AffineCost.of(XY, {"x": F(4, 2), "y": F(1, 2)}, F(6, 3))
+    assert type(cost.coeff("x")) is int and cost.coeff("x") == 2
+    assert cost.coeff("y") == F(1, 2)
+    assert type(cost.const) is int and cost.const == 2
+    with pytest.raises(TypeError):
+        AffineCost.of(XY, {"x": 0.1})
+    with pytest.raises(TypeError):
+        AffineCost.of(XY, {}, 0.5)
+
+
 def test_mincost():
     assert mincost(PricedZone.initial(XY)) == 0
     halfline = Zone.from_constraints(("x",), [])
