@@ -408,14 +408,11 @@ class Zone:
             else:
                 at[i] = len(reps)
                 reps.append(i)
-        if len(reps) == n:
-            found = _tree_vertices(m, n)
-        else:
-            sub = [m[a * n + b] for a in reps for b in reps]
-            found = {
-                tuple(p[at[i]] + offset[i] for i in range(n))
-                for p in _tree_vertices(sub, len(reps))
-            }
+        sub = [m[a * n + b] for a in reps for b in reps]
+        found = {
+            tuple(p[at[i]] + offset[i] for i in range(n))
+            for p in _tree_vertices(sub, len(reps))
+        }
         return [
             {c: p[k] for k, c in enumerate(self.clocks, 1)} for p in sorted(found)
         ]

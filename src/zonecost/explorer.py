@@ -17,9 +17,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable
 
-from .dbm import NEG_INF, POS_INF, Zone, inf_affine
+from .dbm import INF, NEG_INF, POS_INF, Zone, bound_is_strict, bound_value, inf_affine
 from .inclusion import includes, simple_includes, uniform_bounds
-from .model import Automaton, Run, guard_constraints, max_constants
+from .model import Automaton, Location, Run, guard_constraints, max_constants
 from .priced import (
     AffineCost,
     PricedZone,
@@ -69,7 +69,6 @@ class SymbolicState:
     entry: PricedZone  # pre-delay priced zone at this location (witness anchor)
     parent: "SymbolicState | None" = None
     edge_index: int | None = None
-    depth: int = 0
 
 
 @dataclass
@@ -81,12 +80,23 @@ class Verdict:
     passed: dict[str, list[SymbolicState]] = field(default_factory=dict)
 
 
-def _invariant_constraints(a: Automaton, location: str):
-    return guard_constraints(a.location(location).invariant)
+def _arrive(loc: Location, pz: PricedZone, parent: SymbolicState | None = None,
+            edge_index: int | None = None) -> list[SymbolicState]:
+    """States entering ``loc`` with ``pz``: invariant, delay, invariant."""
+    inv = guard_constraints(loc.invariant)
+    entry = constrain(pz, inv)
+    if entry is None:
+        return []
+    out = []
+    for delayed in delay_successors(entry, loc.rate):
+        settled = constrain(delayed, inv)
+        if settled is not None:
+            out.append(SymbolicState(loc.name, settled, entry, parent, edge_index))
+    return out
 
 
 def symbolic_post(a: Automaton, s: SymbolicState) -> list[SymbolicState]:
-    """Successors along every outgoing edge: guard, reset, weight, delay, invariant."""
+    """Successors along every outgoing edge: guard, reset, weight, then arrival."""
     out: list[SymbolicState] = []
     for idx, edge in enumerate(a.edges):
         if edge.source != s.location:
@@ -94,42 +104,14 @@ def symbolic_post(a: Automaton, s: SymbolicState) -> list[SymbolicState]:
         guarded = constrain(s.pz, guard_constraints(edge.guard))
         if guarded is None:
             continue
-        inv = _invariant_constraints(a, edge.target)
-        rate = a.location(edge.target).rate
+        target = a.location(edge.target)
         for piece in reset_successors(guarded, edge.resets):
-            entry = constrain(add_weight(piece, edge.weight), inv)
-            if entry is None:
-                continue
-            for delayed in delay_successors(entry, rate):
-                settled = constrain(delayed, inv)
-                if settled is None:
-                    continue
-                out.append(
-                    SymbolicState(
-                        location=edge.target,
-                        pz=settled,
-                        entry=entry,
-                        parent=s,
-                        edge_index=idx,
-                        depth=s.depth + 1,
-                    )
-                )
+            out += _arrive(target, add_weight(piece, edge.weight), s, idx)
     return out
 
 
 def _initial_states(a: Automaton) -> list[SymbolicState]:
-    inv = _invariant_constraints(a, a.initial)
-    entry = constrain(PricedZone.initial(a.clocks), inv)
-    if entry is None:
-        return []
-    rate = a.location(a.initial).rate
-    out = []
-    for delayed in delay_successors(entry, rate):
-        settled = constrain(delayed, inv)
-        if settled is None:
-            continue
-        out.append(SymbolicState(a.initial, settled, entry))
-    return out
+    return _arrive(a.location(a.initial), PricedZone.initial(a.clocks))
 
 
 def explore(
@@ -219,7 +201,7 @@ def explore(
         insert_at = None
         if cfg.strategy == "sbfs":
             kept = []
-            for i, w in enumerate(waiting):
+            for w in waiting:
                 if w.location == s.location and test(w.pz, s.pz):
                     if insert_at is None:
                         insert_at = len(kept)
@@ -262,8 +244,6 @@ def _pick_point(zone: Zone, cost: AffineCost, budget: Fraction) -> dict[str, Fra
 
 def _delay_interval(zone: Zone, v: dict[str, Fraction]):
     """Feasible backward delays t with v - t*1 in the zone (plus strictness flags)."""
-    from .dbm import INF, bound_is_strict, bound_value
-
     n = len(zone.clocks) + 1
     lo, lo_strict = Fraction(0), False
     hi, hi_strict = None, False

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .dbm import NEG_INF, POS_INF
-from .model import Automaton, Guard
+from .model import Automaton, Guard, max_constants
 
 ABOVE = ("above",)
 
@@ -210,8 +210,6 @@ def build_corner_point(a: Automaton, m: Mapping[str, int | None] | None = None,
     ``deadline`` is a ``time.perf_counter()`` value; past it, or beyond ``cap``
     corner states, the construction raises :class:`OracleCapExceeded`.
     """
-    from .model import max_constants
-
     if m is None:
         m = max_constants(a)
     nodes: list[CornerState] = []

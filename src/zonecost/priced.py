@@ -204,64 +204,40 @@ def _dedup(pieces: list[PricedZone]) -> list[PricedZone]:
 def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
     """Pieces covering up(Z) whose pointwise minimum is the optimal delay cost.
 
-    The entry time along the diagonal is minimal when ``rate`` exceeds the
-    cost's diagonal slope (stay as late as possible on upper facets) and
-    maximal otherwise (ride down to lower facets); diagonal constraints are
-    delay-invariant and never pivot.
+    Followed backward along the diagonal, a point leaves Z through a clock's
+    own bound: an upper bound ``x = b`` when ``rate`` exceeds the cost's
+    diagonal slope, a lower bound otherwise.  Each bound gives the piece
+    ``up(closure(Z) & {x = b}) & up(Z)`` with the cost sheared along x
+    (Larsen et al., CAV 2001); Z itself leads the pieces of an increasing
+    cost unless a clock is fixed in Z, which the bound pieces then cover.
     """
     zone = pz.zone
     if zone.is_empty:
         raise EmptyZoneError("delay of an empty priced zone")
     up = zone.up()
-    if pz.cost.minus_infinity:
-        return [PricedZone(up, pz.cost)]
-    d = rate - pz.cost.diagonal_slope()
+    d = 0 if pz.cost.minus_infinity else rate - pz.cost.diagonal_slope()
     if d == 0:
         return [PricedZone(up, pz.cost)]
 
     n = len(zone.clocks) + 1
+    closed = zone.closure()
     pieces: list[PricedZone] = []
-    if d > 0:
-        on_facet = False
-        for x in zone.clocks:
-            i = zone.idx(x)
-            e_up = zone.m[i * n + 0]
-            if e_up >= INF:
-                continue
-            ub = bound_value(e_up)
-            lb = -bound_value(zone.m[0 * n + i])
-            if ub == lb:
-                on_facet = True  # the cylinder piece already covers Z exactly
-            for facet in zone.facets(x, "upper"):
-                other, pivot = facet.pivot
-                if other is not None:
-                    continue  # only individual upper bounds block the diagonal
-                piece_zone = facet.zone.up().intersect_zone(up)
-                if piece_zone.is_empty:
-                    continue
-                cost = pz.cost.shear(x, d, pivot)
-                pieces.append(PricedZone(piece_zone, cost))
-        if not on_facet:
-            pieces.insert(0, pz)
-    else:
-        for x in zone.clocks:
-            for facet in zone.facets(x, "lower"):
-                other, pivot = facet.pivot
-                if other is not None:
-                    continue
-                piece_zone = facet.zone.up().intersect_zone(up)
-                if piece_zone.is_empty:
-                    continue
-                cost = pz.cost.shear(x, d, pivot)
-                pieces.append(PricedZone(piece_zone, cost))
+    fixed = False
+    for x in zone.clocks:
+        i = zone.idx(x)
+        e_up, e_lo = zone.m[i * n], zone.m[i]  # x <= ub, -x <= -lb
+        fixed = fixed or (e_up < INF and bound_value(e_up) == -bound_value(e_lo))
+        e = e_up if d > 0 else e_lo
+        if e >= INF:
+            continue
+        b = bound_value(e) if d > 0 else -bound_value(e)
+        face = closed.intersect([(x, None, b, False), (None, x, -b, False)])
+        piece_zone = face.up().intersect_zone(up)
+        if not piece_zone.is_empty:
+            pieces.append(PricedZone(piece_zone, pz.cost.shear(x, d, b)))
+    if d > 0 and not fixed:
+        pieces.insert(0, pz)
     return _dedup(pieces)
-
-
-def _clock_unbounded(zone: Zone, clock: str) -> bool:
-    """No finite upper entry at all: every fiber along the clock is a half-line."""
-    n = len(zone.clocks) + 1
-    i = zone.idx(clock)
-    return all(zone.m[i * n + j] >= INF for j in range(n) if j != i)
 
 
 def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
@@ -283,11 +259,12 @@ def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
                 nxt.append(PricedZone(image, piece.cost))
                 continue
             cx = piece.cost.coeff(x)
-            if cx < 0 and _clock_unbounded(piece.zone, x):
+            # x >= 0 is a lower facet, so only an unbounded fiber has none
+            facets = piece.zone.facets(x, "lower" if cx >= 0 else "upper")
+            if not facets:
                 nxt.append(PricedZone(image, AffineCost.bottom(piece.clocks)))
                 continue
-            kind = "lower" if cx >= 0 else "upper"
-            for facet in piece.zone.facets(x, kind):
+            for facet in facets:
                 other, pivot = facet.pivot
                 piece_zone = facet.zone.reset([x]).intersect_zone(image)
                 if piece_zone.is_empty:

@@ -476,7 +476,7 @@ def test_vertices_quotient_matches_plain_enumeration():
             bound_value(z.entry(i, j)) + bound_value(z.entry(j, i)) == 0
             for i in range(n) for j in range(i + 1, n)
         )
-    assert 100 <= merged <= 280  # both paths are exercised
+    assert 100 <= merged <= 280  # zones with and without merged classes
 
 
 def test_sup_equals_max_over_vertices_when_bounded():

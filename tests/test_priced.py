@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from grid_oracles import fiber_min, random_cost, random_point, random_zone
+from zonecost import priced
 from zonecost.dbm import INF, NEG_INF, Zone, bound_value
 from zonecost.priced import (
     AffineCost,
@@ -19,6 +20,7 @@ from zonecost.priced import (
 )
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def fig4_priced(const=0, coeffs=None) -> PricedZone:
@@ -126,25 +128,63 @@ def _delay_cost_oracle(pz: PricedZone, rate: int, w: dict) -> F | float:
     return cost.evaluate({c: w[c] - t for c in zone.clocks}) + t * rate
 
 
+def _check_delay_pieces(rng: random.Random, pz: PricedZone, rate: int, points: int):
+    """The pieces are non-empty and cover up(Z), each point at the oracle cost."""
+    pieces = delay_successors(pz, rate)
+    assert all(not p.zone.is_empty for p in pieces)
+    up = pz.zone.up()
+    for _ in range(points):
+        v = random_point(rng, pz.zone)
+        t = F(rng.randint(0, 8), 3)
+        w = {c: v[c] + t for c in pz.clocks}
+        assert up.contains(w)
+        vals = [
+            p.cost.evaluate(w) for p in pieces if p.zone.contains(w)
+        ]
+        assert vals, "piece cover misses a reachable point"
+        assert min(vals) == _delay_cost_oracle(pz, rate, w)
+    return pieces
+
+
 def test_delay_pieces_cover_and_minimize():
     rng = random.Random(2024)
-    for _ in range(40):
-        zone = random_zone(rng, XY, 3)
-        pz = PricedZone(zone, random_cost(rng, XY))
-        rate = rng.randint(-4, 4)
-        pieces = delay_successors(pz, rate)
-        assert all(not p.zone.is_empty for p in pieces)
-        up = zone.up()
-        for _ in range(8):
-            v = random_point(rng, zone)
-            t = F(rng.randint(0, 8), 3)
-            w = {c: v[c] + t for c in XY}
-            assert up.contains(w)
-            vals = [
-                p.cost.evaluate(w) for p in pieces if p.zone.contains(w)
-            ]
-            assert vals, "piece cover misses a reachable point"
-            assert min(vals) == _delay_cost_oracle(pz, rate, w)
+    for k in range(80):
+        clocks = XY if k < 40 else XYZ
+        zone = random_zone(rng, clocks, 3)
+        pz = PricedZone(zone, random_cost(rng, clocks))
+        if k % 8 == 7:
+            pz = PricedZone(zone, AffineCost.bottom(clocks))
+        _check_delay_pieces(rng, pz, rng.randint(-4, 4), 8)
+
+
+def test_delay_pivots_on_clock_bounds_not_facets(monkeypatch):
+    def no_facets(self, axis, kind):
+        raise AssertionError("delay pivots on each clock's own bound")
+
+    monkeypatch.setattr(Zone, "facets", no_facets)
+    rng = random.Random(1703)
+    for k in range(48):
+        clocks = ("w", "x", "y", "z")[: 1 + k % 4]
+        pz = PricedZone(random_zone(rng, clocks, 3), random_cost(rng, clocks))
+        for rate in range(-3, 4):
+            _check_delay_pieces(rng, pz, rate, 2)
+
+
+def test_delay_fixed_clock_drops_the_zone_piece(monkeypatch):
+    # x = 2 in Z, so the piece of x's upper bound covers Z exactly and Z is
+    # not even a candidate piece for the dominance pass
+    compared = []
+    dominates = priced._dominates
+    monkeypatch.setattr(
+        priced, "_dominates", lambda q, p: compared.extend((q, p)) or dominates(q, p)
+    )
+    zone = Zone.from_constraints(
+        XY, [("x", None, 2, False), (None, "x", -2, False), ("y", None, 3, False)]
+    )
+    pz = PricedZone(zone, AffineCost.of(XY, {"x": 1, "y": 1}, 1))
+    pieces = _check_delay_pieces(random.Random(11), pz, 5, 30)  # rate 5 > slope 2
+    assert compared
+    assert pz not in pieces and pz not in compared
 
 
 def test_delay_mincost_monotone_for_nonnegative_rates():
@@ -181,6 +221,13 @@ def test_reset_unbounded_negative_gives_bottom():
     assert len(pieces) == 1
     assert pieces[0].cost.minus_infinity
     assert pieces[0].zone == Zone.origin(("x",))
+    # x is bounded through the diagonal x - y <= 2 alone: every fiber ends
+    diagonal = Zone.from_constraints(XY, [("x", "y", 2, False)])
+    pieces = reset_successors(PricedZone(diagonal, AffineCost.of(XY, {"x": -1})), ["x"])
+    assert len(pieces) == 1
+    assert not pieces[0].cost.minus_infinity
+    assert pieces[0].cost == AffineCost.of(XY, {"y": -1}, -2)
+    assert pieces[0].zone == Zone.from_constraints(XY, [("x", None, 0, False)])
 
 
 def test_reset_pieces_realize_fiber_minimum():

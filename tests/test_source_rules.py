@@ -33,3 +33,17 @@ def test_float_only_for_the_infinity_sentinels():
         and node.func.id == "float"
     ]
     assert sorted(calls) == [("dbm.py", "float('-inf')"), ("dbm.py", "float('inf')")]
+
+
+def test_no_function_level_imports_in_library():
+    # the benchmark's tracer patches names bound in a module; a name imported
+    # inside a function is a local and escapes the patch
+    found = sorted({
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+    assert found == []
