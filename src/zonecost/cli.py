@@ -1,9 +1,9 @@
 """Command-line front end: parse, compose, explore, report.
 
 Exit codes: 0 success (including cap/timeout with terminated=false), 1 model
-parse errors, 2 option conflicts.  Stats mirror the usual benchmark counters
-(waiting/passed insertions, peak storage, inclusion tests) so different runs
-can be compared directly.
+parse errors, 2 invalid option values or option conflicts.  Stats mirror the
+usual benchmark counters (waiting/passed insertions, peak storage, inclusion
+tests) so different runs can be compared directly.
 """
 
 from __future__ import annotations
@@ -21,11 +21,17 @@ from .model import ModelError, compose, evaluate_run, parse_model
 from .oracle import OracleCapExceeded, corner_point_cost
 
 
-def _fraction(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+def _number(kind, low=None, *, strict=False):
+    """An argparse type: ``kind(text)``, at least ``low`` (above it if strict)."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+        if low is not None and not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"{text} is not {'>' if strict else '>='} {low}")
+        return value
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,16 +49,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="prune states that cannot beat the best cost so far "
         "(default: enabled iff all weights are nonnegative)",
     )
-    p.add_argument("--hint", type=_fraction, default=None,
+    p.add_argument("--hint", type=_number(Fraction), default=None,
                    help="known cost bound used for pruning")
     p.add_argument("--uniform-m", action="store_true",
                    help="use one global maximal constant for all clocks")
-    p.add_argument("--cap", type=int, default=None, help="iteration cap")
-    p.add_argument("--timeout", type=float, default=None,
+    p.add_argument("--cap", type=_number(int, 0), default=None, help="iteration cap")
+    p.add_argument("--timeout", type=_number(float, 0), default=None,
                    help="time cap in seconds for the exploration, and again for --oracle")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the corner-point abstraction")
-    p.add_argument("--witness", type=_fraction, default=None, metavar="EPS",
+    p.add_argument("--witness", type=_number(Fraction, 0, strict=True), default=None,
+                   metavar="EPS",
                    help="extract an EPS-optimal run when the cost is finite")
     p.add_argument("--stats", choices=["text", "json"], default="text")
     p.add_argument("--progress", action="store_true",

@@ -59,12 +59,10 @@ class Facet:
 
     ``pivot`` is ``(other, value)`` with ``other`` a clock name or None for the
     reference clock: the facet satisfies ``axis = value`` (other None) or
-    ``axis - other = value``.
+    ``axis - other = value``, for the axis passed to :meth:`Zone.facets`.
     """
 
     zone: "Zone"
-    axis: str
-    kind: str  # "lower" | "upper"
     pivot: tuple[str | None, int]
 
 
@@ -368,10 +366,8 @@ class Zone:
                     continue
                 pivot_value = bound_value(e)
                 extra = [(other, axis, -pivot_value, False)]
-            fz = closed.intersect(extra)
-            if fz.is_empty:  # cannot happen on canonical closed zones
-                continue
-            out.append(Facet(zone=fz, axis=axis, kind=kind, pivot=(other, pivot_value)))
+            # a tight bound of a non-empty closed canonical DBM is attained
+            out.append(Facet(closed.intersect(extra), (other, pivot_value)))
         return out
 
     # -- vertices --------------------------------------------------------------

@@ -17,18 +17,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping
 
-# inf_affine and sup_affine are not called here, but the benchmark's tracer
-# wraps ``inclusion.inf_affine`` and ``inclusion.sup_affine`` by name, so the
-# imports stay bound
+# inf_affine, sup_affine and is_lower_bounded are not called here, but the
+# benchmark's tracer wraps ``inclusion.inf_affine``, ``inclusion.sup_affine``
+# and ``inclusion.is_lower_bounded`` by name, so the imports stay bound;
+# facet_reduce finds an unbounded cost in its elimination, without an LP
 from .dbm import NEG_INF, Zone, encode, inf_affine, sup_affine  # noqa: F401
-from .priced import AffineCost, PricedZone, _dedup, _dominates, is_lower_bounded
+from .priced import AffineCost, PricedZone, _dedup, _dominates, is_lower_bounded  # noqa: F401
 
 # Per-clock maximal constants; None encodes "never compared" (-oo).
 MaxConstants = Mapping[str, int | None]
 
 
 class LowerBoundViolation(ValueError):
-    """A facet reduction was attempted on a non-lower-bounded cost."""
+    """A facet reduction met a fiber on which the cost has no lower bound."""
 
 
 def uniform_bounds(m: MaxConstants) -> dict[str, int | None]:
@@ -78,6 +79,11 @@ class ClockPreorder:
 
 def clock_preorder(zone: Zone, m: MaxConstants) -> ClockPreorder:
     """The least preorder compatible with the cell structure of the zone."""
+    # x <= y when x <= M_x or y > M_y throughout the zone, or when neither is
+    # > M throughout and the zone implies x - y <= M_x - M_y.  That is already
+    # transitive on a canonical zone (m_xz <= m_xy + m_yz, Bengtsson & Yi
+    # 2004): x - y <= M_x - M_y with y <= M_y gives x <= M_x, two difference
+    # steps add up, and a clock > M throughout lies below only such clocks.
     clocks = zone.clocks
     n = len(clocks) + 1
     above = set()
@@ -96,32 +102,14 @@ def clock_preorder(zone: Zone, m: MaxConstants) -> ClockPreorder:
             above.add(x)
         if zone.m[i * n + 0] <= encode(mx, False):  # z |= x <= mx
             below_m.add(x)
-    rel = {(x, x) for x in clocks}
-    for x in below_m:
-        for y in clocks:
-            rel.add((x, y))
-    for y in above:
-        for x in clocks:
-            rel.add((x, y))
-    rest = [x for x in clocks if x not in above]
-    for x in rest:
-        for y in rest:
-            if x == y:
-                continue
-            bound = m[x] - m[y]  # both finite outside above_m
-            if not zone.is_empty and zone.m[zone.idx(x) * n + zone.idx(y)] <= encode(bound, False):
-                rel.add((x, y))
-    # transitive closure
-    changed = True
-    while changed:
-        changed = False
-        for x, y in list(rel):
-            for y2, z in list(rel):
-                if y == y2 and (x, z) not in rel:
-                    rel.add((x, z))
-                    changed = True
     below = {
-        y: frozenset(x for x in clocks if (x, y) in rel) for y in clocks
+        y: frozenset(
+            x for x in clocks
+            if x == y or x in below_m or y in above or (
+                x not in above
+                and zone.m[zone.idx(x) * n + zone.idx(y)] <= encode(m[x] - m[y], False))
+        )
+        for y in clocks
     }
     return ClockPreorder(clocks, below, frozenset(below_m), frozenset(above))
 
@@ -204,9 +192,11 @@ def unpriced_m_inclusion(zone: Zone, other: Zone, m: MaxConstants) -> bool:
 def facet_reduce(pz: PricedZone, y: frozenset[str] | set[str]) -> list[tuple[Zone, AffineCost]]:
     """Eliminate the beyond-M clocks of a cell through cost-minimizing facets.
 
-    Returns pairs (zone over Y, affine cost over Y) whose pointwise minimum at
-    each projected point is the infimum of the cost over the point's fiber.
-    The cost must be lower-bounded on the cell.
+    Raises :class:`LowerBoundViolation` exactly when the cost's infimum over
+    some fiber (the zone's points with one projection onto Y) is -oo, which
+    on an M-cell, where the clocks of Y are bounded, means the cost is not
+    bounded below.  Otherwise returns pairs (zone over Y, affine cost over Y)
+    whose pointwise minimum at each projected point is its fiber infimum.
 
     After each elimination, pieces dominated by another piece (domain inside
     the other's, cost never below it there) are dropped.  That keeps the
@@ -216,8 +206,8 @@ def facet_reduce(pz: PricedZone, y: frozenset[str] | set[str]) -> list[tuple[Zon
     piece lies inside its dominator's domain, so it never sets the minimum
     and never provides the only cover of a point.
     """
-    if pz.cost.minus_infinity or not is_lower_bounded(pz):
-        raise LowerBoundViolation("facet reduction needs a lower-bounded cost")
+    if pz.cost.minus_infinity:
+        raise LowerBoundViolation("facet reduction of the -oo cost")
     keep = set(y)
     pieces = [pz]
     for x in pz.clocks:
@@ -225,9 +215,11 @@ def facet_reduce(pz: PricedZone, y: frozenset[str] | set[str]) -> list[tuple[Zon
             continue
         nxt: list[PricedZone] = []
         for p in pieces:
-            kind = "lower" if p.cost.coeff(x) >= 0 else "upper"
+            facets = p.zone.facets(x, "lower" if p.cost.coeff(x) >= 0 else "upper")
+            if not facets:  # x >= 0 is a lower facet: x is unbounded and the cost falls
+                raise LowerBoundViolation(f"the cost decreases along {x} without bound")
             remaining = [c for c in p.clocks if c != x]
-            for facet in p.zone.facets(x, kind):
+            for facet in facets:
                 other, pivot = facet.pivot
                 nxt.append(PricedZone(
                     facet.zone.project(remaining),

@@ -456,6 +456,8 @@ def evaluate_run(a: Automaton, run: Run) -> Fraction:
             v[c] += delay
         check_invariant(i)
         cost += delay * loc.rate
+        if edge_index not in range(len(a.edges)):
+            raise RunError(f"no edge {edge_index}", i)
         edge = a.edges[edge_index]
         if edge.source != loc.name:
             raise RunError(f"edge {edge_index} does not leave {loc.name}", i)

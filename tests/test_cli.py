@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from conftest import MODELS
 from zonecost.cli import main
 
@@ -105,6 +107,19 @@ def test_option_conflict_exit_2(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "negative" in err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--witness", "0"), ("--witness", "-1/2"), ("--cap", "-3"), ("--timeout", "-0.5"),
+])
+def test_invalid_option_value_exit_2(capsys, option, value):
+    # rejected while parsing the options, before the model is read or explored
+    with pytest.raises(SystemExit) as e:
+        main([str(MODELS / "fig2left.wta"), option, value])
+    captured = capsys.readouterr()
+    assert e.value.code == 2
+    assert option in captured.err
+    assert captured.out == ""
 
 
 def test_negative_weights_auto_disable_prune(recwarn, capsys):

@@ -245,26 +245,32 @@ def test_facets_upper_unbounded_empty():
 
 
 def test_facet_cylinders_cover_zone():
+    # every facet zone is non-empty, and moving a point of the zone along the
+    # axis (down for lower facets, up for upper ones) reaches a facet
     rng = random.Random(7)
     for _ in range(25):
         z = random_zone(rng, XY, 4)
         for axis in XY:
-            facets = z.facets(axis, "lower")
-            for _ in range(10):
-                v = random_point(rng, z)
-                covered = False
-                for f in facets:
-                    other, pivot = f.pivot
-                    target = pivot if other is None else v[other] + pivot
-                    lam = v[axis] - target
-                    if lam < 0:
-                        continue
-                    w = dict(v)
-                    w[axis] = v[axis] - lam
-                    if f.zone.contains(w):
-                        covered = True
-                        break
-                assert covered
+            points = [random_point(rng, z) for _ in range(10)]
+            for kind, sign in (("lower", 1), ("upper", -1)):
+                facets = z.facets(axis, kind)
+                assert all(not f.zone.is_empty for f in facets)
+                if not facets:  # only an axis unbounded above has none
+                    assert kind == "upper"
+                    continue
+                for v in points:
+                    covered = False
+                    for f in facets:
+                        other, pivot = f.pivot
+                        target = pivot if other is None else v[other] + pivot
+                        if sign * (v[axis] - target) < 0:
+                            continue
+                        w = dict(v)
+                        w[axis] = target
+                        if f.zone.contains(w):
+                            covered = True
+                            break
+                    assert covered
 
 
 def test_sup_affine_fig4_values():

@@ -12,12 +12,13 @@ from conftest import load_automaton
 from grid_oracles import (
     brute_includes,
     fiber_min,
+    random_point,
     random_priced_zone,
     random_zone,
     weaken,
 )
 from zonecost import inclusion, priced as priced_mod
-from zonecost.dbm import NEG_INF, Zone, sup_affine
+from zonecost.dbm import INF, NEG_INF, Zone, bound_is_strict, bound_value, sup_affine
 from zonecost.explorer import Config, explore
 from zonecost.inclusion import (
     LowerBoundViolation,
@@ -116,6 +117,59 @@ def test_preorder_uniform_total_on_reset_generated_zone():
     assert len(ys) <= len(XY) + 1
 
 
+def _one_step_preorder(z: Zone, m: dict) -> dict[str, frozenset[str]]:
+    # the transitive closure of the one-step rules, each decided by emptiness
+    # of the zone conjoined with the rule's negation
+    clocks = z.clocks
+    below_m = {x for x in clocks if m[x] is not None
+               and z.intersect([(None, x, -m[x], True)]).is_empty}  # never x > M_x
+    above = {x for x in clocks if m[x] is None
+             or z.intersect([(x, None, m[x], False)]).is_empty}  # never x <= M_x
+    rel = {(x, y) for x in clocks for y in clocks
+           if x == y or x in below_m or y in above
+           or (x not in above and y not in above
+               and z.intersect([(y, x, m[y] - m[x], True)]).is_empty)}
+    for k, i, j in itertools.product(clocks, repeat=3):  # Warshall, k outermost
+        if (i, k) in rel and (k, j) in rel:
+            rel.add((i, j))
+    return {y: frozenset(x for x in clocks if (x, y) in rel) for y in clocks}
+
+
+def test_preorder_is_closure_of_one_step_rules():
+    rng = random.Random(20261109)
+    names = ("x", "y", "z", "w")
+    seen = Counter()
+    for _ in range(400):
+        clocks = names[: rng.randint(1, 4)]
+        if rng.random() < 0.08:
+            z = Zone.empty(clocks)
+        else:
+            z = random_zone(rng, clocks, 3)
+            for _ in range(rng.randint(0, 2)):  # equalities x = c and x - y = c
+                a, b = rng.choice(clocks), rng.choice((None,) + clocks)
+                c = rng.randint(-2, 3) if b is not None else rng.randint(0, 3)
+                eq = z.intersect([(a, b, c, False), (b, a, -c, False)])
+                z = z if eq.is_empty else eq
+        m = {c: None if rng.random() < 0.15 else rng.randint(0, 3) for c in clocks}
+        pre = clock_preorder(z, m)
+        assert pre.below == _one_step_preorder(z, m)
+        for x, y, w in itertools.product(clocks, repeat=3):
+            if pre.leq(x, y) and pre.leq(y, w):
+                assert pre.leq(x, w)
+        n = len(clocks) + 1
+        pairs = [] if z.is_empty else [
+            (z.m[i * n + j], z.m[j * n + i]) for i, j in itertools.combinations(range(n), 2)
+        ]
+        seen["empty"] += z.is_empty
+        seen["strict"] += any(e < INF and bound_is_strict(e) for pair in pairs for e in pair)
+        seen["equality"] += any(
+            e < INF and r < INF and bound_value(e) + bound_value(r) == 0 for e, r in pairs
+        )
+        seen["unknown"] += None in m.values()
+        seen["partial"] += any(1 < len(b) < len(clocks) for b in pre.below.values())
+    assert min(seen.values()) >= 25, seen
+
+
 def test_downward_closed_sets_counts():
     pre = clock_preorder(fig4_zone(), M4)
     assert [sorted(y) for y in pre.downward_closed_sets()] == [[], ["x"], ["y"], ["x", "y"]]
@@ -201,6 +255,59 @@ def test_facet_reduce_requires_lower_bounded():
     z = Zone.from_constraints(("x",), [(None, "x", -3, True)])
     with pytest.raises(LowerBoundViolation):
         facet_reduce(priced(z, {"x": -1}), frozenset())
+    with pytest.raises(LowerBoundViolation):
+        facet_reduce(PricedZone(z, AffineCost.bottom(z.clocks)), frozenset(z.clocks))
+
+
+def test_facet_reduce_raises_exactly_on_unbounded_fibers():
+    # raises iff the fiber infimum is -oo, which holds at every point of the
+    # projection or at none; otherwise the pieces give the fiber infimum
+    rng = random.Random(20261110)
+    clocks = ("x", "y", "z")
+    grid = [F(k, 2) for k in range(0, 8)]
+    seen = Counter()
+    for _ in range(80):
+        pz = random_priced_zone(rng, clocks[: rng.randint(1, 3)], 3)
+        y = frozenset(c for c in pz.clocks if rng.random() < 0.5)
+        ydims = [c for c in pz.clocks if c in y]
+        point = random_point(rng, pz.zone)
+        unbounded = fiber_min(pz.zone, pz.cost, {c: point[c] for c in ydims}) == NEG_INF
+        try:
+            closed = [(z.closure(), c) for z, c in facet_reduce(pz, y)]
+        except LowerBoundViolation:
+            closed = None
+        assert (closed is None) == unbounded
+        for grid_point in itertools.product(grid, repeat=len(ydims)):
+            u = dict(zip(ydims, grid_point))
+            want = fiber_min(pz.zone, pz.cost, u)
+            if closed is None:
+                assert want in (None, NEG_INF)
+            else:
+                covering = [c.evaluate(u) for z, c in closed if z.contains(u)]
+                assert (min(covering) if covering else None) == want
+        seen["raised" if closed is None else "reduced"] += 1
+        seen["raised, not bounded below"] += closed is None and not is_lower_bounded(pz)
+        seen["reduced, not bounded below"] += closed is not None and not is_lower_bounded(pz)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_facet_reduce_raises_on_m_cells_exactly_when_unbounded_below():
+    rng = random.Random(20261111)
+    clocks = ("x", "y", "z")
+    seen = Counter()
+    for _ in range(60):
+        pz = random_priced_zone(rng, clocks[: rng.randint(1, 3)], 4)
+        m = {c: rng.randint(0, 3) for c in pz.clocks}
+        for y, (cell, _) in m_cells(pz.zone, m).items():
+            priced_cell = PricedZone(cell, pz.cost)
+            try:
+                facet_reduce(priced_cell, y)
+                raised = False
+            except LowerBoundViolation:
+                raised = True
+            assert raised == (not is_lower_bounded(priced_cell))
+            seen[raised] += 1
+    assert seen[True] >= 20 and seen[False] >= 20, seen
 
 
 def test_facet_reduce_pieces_are_fiber_min_and_undominated():
@@ -448,8 +555,8 @@ def test_cell_memo_invisible_to_eq_hash_repr():
 
 
 def test_priced_cells_reduced_once(monkeypatch):
-    # each (cell, cost, Y) is reduced once, and each (cell, cost) has its lower
-    # bound found once, however many tests the cell takes part in
+    # each (cell, cost, Y) is reduced once however many tests the cell takes
+    # part in, and the reductions find lower bounds without any mincost LP
     reductions: Counter = Counter()
     bounds: Counter = Counter()
     held = []  # keeps every counted zone alive, so no id is reused
@@ -469,9 +576,8 @@ def test_priced_cells_reduced_once(monkeypatch):
     monkeypatch.setattr(priced_mod, "mincost", counting_mincost)
     verdict = explore(load_automaton("als_small"), Config())
     assert verdict.stats.tests >= 20
-    assert len(reductions) >= 20 and len(bounds) >= 20
+    assert len(reductions) >= 20 and not bounds
     assert max(reductions.values()) == 1
-    assert max(bounds.values()) == 1
 
 
 def test_exploration_leaves_no_reference_cycles():

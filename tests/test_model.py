@@ -184,6 +184,18 @@ def test_evaluate_run_invariant_violation():
         evaluate_run(a, run)
 
 
+def test_evaluate_run_rejects_edge_index_out_of_range():
+    a = compose(parse_model(
+        "clocks x;\nautomaton a\n  location l rate 1 initial;\n  edge l -> l;\n"
+    ))
+    assert len(a.edges) == 1
+    assert evaluate_run(a, Run(steps=((F(1), 0),))) == 1
+    for index in (-1, 1, 99):
+        with pytest.raises(RunError) as e:
+            evaluate_run(a, Run(steps=((F(1), index),)))
+        assert e.value.step == 1
+
+
 def test_atom_str_and_holds():
     atom = Atom("x", ">=", 2)
     assert str(atom) == "x >= 2"

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "zonecost"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "zonecost"
 
 
 def test_no_assert_statements_in_library():
@@ -47,3 +49,19 @@ def test_no_function_level_imports_in_library():
         if isinstance(node, (ast.Import, ast.ImportFrom))
     })
     assert found == []
+
+
+def test_traced_names_stay_bound():
+    # the benchmark's tracer patches these names where they are bound; a
+    # refactor that drops one breaks the benchmark, not just its smoke test
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [
+        (getattr(owner, "__name__", owner), attr)
+        for table in (tracing.SPANNED, tracing.COUNTED)
+        for entries in table.values()
+        for owner, attr in entries
+        if attr not in owner.__dict__
+    ]
+    assert missing == []
