@@ -380,8 +380,15 @@ class Zone:
         the zero-cycle classes of the minimal-constraint form (Larsen et al.,
         RTSS 1997).  The closure is affinely the polyhedron of the class
         representatives, whose DBM is a submatrix of a canonical DBM and so
-        canonical, so the vertices are enumerated there and expanded by the
-        offsets: the work scales with the zone's dimension, not its clocks.
+        canonical; its vertices are expanded by the offsets.
+
+        A vertex is pinned by tight bounds, so it lies on a lower or an upper
+        facet of the quotient's first clock x, and a vertex of a face is a
+        vertex of the polyhedron.  The vertices are therefore those of x's
+        distinct facet zones: project x away, recurse, and lift each point by
+        the facet's ``x = other + value``.  A quotient without clocks has the
+        one vertex at the origin, and one with a single clock is an interval
+        whose two bounds are its vertices.
         """
         if self._empty:
             raise EmptyZoneError("vertices of an empty zone")
@@ -404,11 +411,29 @@ class Zone:
             else:
                 at[i] = len(reps)
                 reps.append(i)
-        sub = [m[a * n + b] for a in reps for b in reps]
-        found = {
-            tuple(p[at[i]] + offset[i] for i in range(n))
-            for p in _tree_vertices(sub, len(reps))
-        }
+        if len(reps) == 1:
+            points = {(0,)}
+        elif len(reps) == 2:
+            r = reps[1]
+            points = {(0, -bound_value(m[r])), (0, bound_value(m[r * n]))}
+        else:
+            quotient = Zone(
+                [self.clocks[r - 1] for r in reps[1:]],
+                [m[a * n + b] for a in reps for b in reps],
+                canonical=True,
+            )
+            x, rest = quotient.clocks[0], quotient.clocks[1:]
+            points = set()
+            faces = set()
+            for facet in quotient.facets(x, "lower") + quotient.facets(x, "upper"):
+                if facet.zone in faces:
+                    continue
+                faces.add(facet.zone)
+                other, value = facet.pivot
+                for v in facet.zone.project(rest).vertices():
+                    lifted = value + (0 if other is None else v[other])
+                    points.add((0, lifted, *(v[c] for c in rest)))
+        found = {tuple(p[at[i]] + offset[i] for i in range(n)) for p in points}
         return [
             {c: p[k] for k, c in enumerate(self.clocks, 1)} for p in sorted(found)
         ]
@@ -460,45 +485,6 @@ def _tighten(mat: list[int], n: int, i: int, j: int, e: int) -> bool:
             if d < mat[base + b]:
                 mat[base + b] = d
     return False
-
-
-def _tree_vertices(mat: Sequence[int], n: int) -> set[tuple[int, ...]]:
-    """Vertices of the closure of a bounded canonical DBM, as the values of
-    nodes 0..n-1 (node 0 is the reference clock, always 0).
-
-    A vertex is pinned by a spanning tree of tight constraints rooted at 0:
-    attach one unassigned node at a time through any finite bound, then keep
-    the complete assignments that satisfy every bound.
-    """
-    found: set[tuple[int, ...]] = set()
-    seen: set[frozenset[tuple[int, int]]] = set()
-    stack: list[dict[int, int]] = [{0: 0}]
-    while stack:
-        values = stack.pop()
-        key = frozenset(values.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        if len(values) == n:
-            vals = [values[i] for i in range(n)]
-            if all(
-                mat[a * n + b] >= INF or vals[a] - vals[b] <= bound_value(mat[a * n + b])
-                for a in range(n)
-                for b in range(n)
-            ):
-                found.add(tuple(vals))
-            continue
-        for i in range(n):
-            if i in values:
-                continue
-            for j, vj in values.items():
-                e = mat[i * n + j]
-                if e < INF:
-                    stack.append({**values, i: vj + bound_value(e)})
-                e = mat[j * n + i]
-                if e < INF:
-                    stack.append({**values, i: vj - bound_value(e)})
-    return found
 
 
 def _empty_matrix(n: int) -> list[int]:

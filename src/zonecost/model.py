@@ -108,6 +108,8 @@ class Automaton:
         initials = [l.name for l in self.locations if l.initial]
         if len(initials) != 1:
             raise ModelError(f"automaton {self.name}: needs exactly one initial location")
+        if not self.clocks:
+            raise ModelError(f"automaton {self.name}: needs at least one clock")
 
     @property
     def initial(self) -> str:

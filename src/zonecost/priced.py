@@ -244,14 +244,15 @@ def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
     """Pieces covering reset(Z, Y) realizing the fiber minimum of the cost.
 
     Clocks are eliminated one at a time in declaration order: lower facets
-    when the clock's coefficient is nonnegative, upper facets otherwise; a
-    negative coefficient on a clock unbounded in the piece yields a -oo piece.
+    when the clock's coefficient is nonnegative, upper facets otherwise,
+    skipping facets through a clock already reset; a negative coefficient
+    on a clock unbounded in the piece yields a -oo piece.
     """
     if pz.zone.is_empty:
         raise EmptyZoneError("reset of an empty priced zone")
     order = [c for c in pz.clocks if c in set(resets)]
     pieces = [pz]
-    for x in order:
+    for k, x in enumerate(order):
         nxt: list[PricedZone] = []
         for piece in pieces:
             image = piece.zone.reset([x])
@@ -266,6 +267,10 @@ def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
                 continue
             for facet in facets:
                 other, pivot = facet.pivot
+                # a clock reset earlier is 0 here, so its facet repeats the
+                # reference clock's, which comes first and wins the dedup
+                if other in order[:k]:
+                    continue
                 piece_zone = facet.zone.reset([x]).intersect_zone(image)
                 if piece_zone.is_empty:
                     continue

@@ -3,7 +3,8 @@
 Everything here avoids the library's facet/preorder machinery on purpose:
 linear programs are solved by exact Fourier-Motzkin elimination over
 rationals, inclusion is decided from integral points and fiber minimization,
-and delay/reset costs are recomputed from first principles on sampled points.
+delay/reset costs are recomputed from first principles on sampled points, and
+vertices come from spanning trees of tight constraints.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from typing import Sequence
 
 from zonecost.dbm import INF, NEG_INF, Zone, bound_is_strict, bound_value
 from zonecost.model import Atom, Automaton, Edge, Location
@@ -194,6 +196,45 @@ def brute_includes(pz: PricedZone, other: PricedZone, m: dict) -> bool:
             if m_right - m_left > 0:
                 return False
     return True
+
+
+def tree_vertices(mat: Sequence[int], n: int) -> set[tuple[int, ...]]:
+    """Vertices of the closure of a bounded canonical DBM, as the values of
+    nodes 0..n-1 (node 0 is the reference clock, always 0).
+
+    A vertex is pinned by a spanning tree of tight constraints rooted at 0:
+    attach one unassigned node at a time through any finite bound, then keep
+    the complete assignments that satisfy every bound.
+    """
+    found: set[tuple[int, ...]] = set()
+    seen: set[frozenset[tuple[int, int]]] = set()
+    stack: list[dict[int, int]] = [{0: 0}]
+    while stack:
+        values = stack.pop()
+        key = frozenset(values.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        if len(values) == n:
+            vals = [values[i] for i in range(n)]
+            if all(
+                mat[a * n + b] >= INF or vals[a] - vals[b] <= bound_value(mat[a * n + b])
+                for a in range(n)
+                for b in range(n)
+            ):
+                found.add(tuple(vals))
+            continue
+        for i in range(n):
+            if i in values:
+                continue
+            for j, vj in values.items():
+                e = mat[i * n + j]
+                if e < INF:
+                    stack.append({**values, i: vj + bound_value(e)})
+                e = mat[j * n + i]
+                if e < INF:
+                    stack.append({**values, i: vj - bound_value(e)})
+    return found
 
 
 # -- random generation -------------------------------------------------------------

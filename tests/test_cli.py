@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +98,19 @@ def test_parse_error_exit_1(tmp_path, capsys):
     assert "line 4" in err
 
 
+def test_model_without_clocks_exit_1(tmp_path, capsys):
+    bad = tmp_path / "noclocks.wta"
+    bad.write_text(
+        "automaton a\n location l rate 1 initial;\n location g rate 0 goal;\n"
+        " edge l -> g weight 3;\n"
+    )
+    code = main([str(bad), "--witness", "1/10"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "at least one clock" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_file_exit_1(tmp_path, capsys):
     code = main([str(tmp_path / "nope.wta")])
     assert code == 1
@@ -150,3 +164,27 @@ def test_progress_lines(capsys):
     lines = [l for l in captured.err.splitlines() if l.startswith("progress ")]
     assert lines
     assert all("cost=" in l and "popped=" in l for l in lines)
+
+
+GOLDEN_CONFIGS = [
+    ["--witness", "1/1000"],
+    ["--strategy", "bfs", "--no-prune"],
+    ["--strategy", "dfs"],
+    ["--inclusion", "simple", "--cap", "300"],
+    ["--uniform-m", "--witness", "1/7"],
+]
+
+
+def test_golden_stats(recwarn, capsys):
+    # every model under each configuration reproduces its recorded report,
+    # wall time aside: costs, termination, counters and witnesses
+    golden = json.loads((Path(__file__).parent / "golden_stats.json").read_text())
+    got = {}
+    for path in sorted(MODELS.glob("*.wta")):
+        for cfg in GOLDEN_CONFIGS:
+            code, out = _run(capsys, path, *cfg, "--stats", "json")
+            assert code == 0
+            report = json.loads(out)
+            report["stats"].pop("wall_time_ms")
+            got.setdefault(path.name, {})[" ".join(cfg)] = report
+    assert got == golden

@@ -6,7 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from grid_oracles import fm_minimize, random_point, random_zone, zone_constraints
+from grid_oracles import (
+    fm_minimize,
+    random_point,
+    random_zone,
+    tree_vertices,
+    zone_constraints,
+)
 from zonecost import dbm
 from zonecost.dbm import (
     INF,
@@ -452,6 +458,15 @@ def brute_vertices(z: Zone, cmax: int) -> set[tuple[int, ...]]:
     return out
 
 
+def merges_a_class(z: Zone) -> bool:
+    """The closure fixes some node at a constant offset from another."""
+    n = len(z.clocks) + 1
+    return any(
+        bound_value(z.entry(i, j)) + bound_value(z.entry(j, i)) == 0
+        for i in range(n) for j in range(i + 1, n)
+    )
+
+
 def test_vertices_lower_dimensional_brute_force():
     rng = random.Random(20261019)
     merged = 0
@@ -460,29 +475,42 @@ def test_vertices_lower_dimensional_brute_force():
         z = lower_dimensional_zone(rng, clocks, 3)
         got = {tuple(v[c] for c in clocks) for v in z.vertices()}
         assert got == brute_vertices(z, 3), z
-        n = len(clocks) + 1
-        merged += any(
-            bound_value(z.entry(i, j)) + bound_value(z.entry(j, i)) == 0
-            for i in range(n) for j in range(i + 1, n)
-        )
+        merged += merges_a_class(z)
     assert merged >= 40  # most draws take the quotient path
 
 
+def full_dimensional_zone(rng: random.Random, clocks: tuple[str, ...], cmax: int) -> Zone:
+    """The cube [0, cmax]^n cut by diagonal bounds, some strict, with no
+    clock fixed relative to another: the quotient keeps every clock."""
+    while True:
+        cons = [(c, None, cmax, False) for c in clocks]
+        for _ in range(rng.randint(1, len(clocks) + 2)):
+            a, b = rng.sample(clocks, 2)
+            cons.append((a, b, rng.randint(0, cmax - 1), rng.random() < 0.3))
+        z = Zone.universal(clocks).intersect(cons)
+        if not z.is_empty and not merges_a_class(z):
+            return z
+
+
 def test_vertices_quotient_matches_plain_enumeration():
-    # the plain spanning-tree enumeration over all clocks is the reference
+    # the spanning-tree enumeration over all clocks is the reference
     rng = random.Random(20261020)
     merged = 0
     for _ in range(300):
         clocks = ("v", "w", "x", "y", "z")[: rng.randint(1, 5)]
         z = lower_dimensional_zone(rng, clocks, 4)
-        plain = dbm._tree_vertices(z.m, len(clocks) + 1)  # (0, clock values...)
+        plain = tree_vertices(z.m, len(clocks) + 1)  # (0, clock values...)
         assert {(0,) + tuple(v[c] for c in clocks) for v in z.vertices()} == plain
-        n = len(clocks) + 1
-        merged += any(
-            bound_value(z.entry(i, j)) + bound_value(z.entry(j, i)) == 0
-            for i in range(n) for j in range(i + 1, n)
-        )
+        merged += merges_a_class(z)
     assert 100 <= merged <= 280  # zones with and without merged classes
+    for k in range(10):
+        clocks = ("v", "w", "x", "y", "z")[: 4 + k % 2]
+        z = full_dimensional_zone(rng, clocks, 3)
+        vs = z.vertices()
+        assert {(0,) + tuple(v[c] for c in clocks) for v in vs} == tree_vertices(
+            z.m, len(clocks) + 1
+        )
+        assert len(vs) > len(clocks)  # a full-dimensional polytope
 
 
 def test_sup_equals_max_over_vertices_when_bounded():

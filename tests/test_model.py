@@ -66,6 +66,16 @@ def test_parse_shared_clock_across_components_errors():
         parse_model(text)
 
 
+def test_parse_model_without_clocks_errors():
+    text = (
+        "automaton a\n location l rate -1 initial;\n location g rate 0 goal;\n"
+        " edge l -> g weight 3;\n"
+    )
+    with pytest.raises(ModelError) as e:
+        parse_model(text)
+    assert "at least one clock" in str(e.value)
+
+
 def test_roundtrip_corpus():
     for name in ["fig2left", "fig2right", "fig7", "als_small", "ets_small", "negrate"]:
         net = load_model(name)

@@ -230,6 +230,21 @@ def test_reset_unbounded_negative_gives_bottom():
     assert pieces[0].zone == Zone.from_constraints(XY, [("x", None, 0, False)])
 
 
+def test_reset_skips_facets_through_a_clock_reset_earlier(monkeypatch):
+    # x is reset first, so y's lower facet y - x = 0 repeats y = 0; only the
+    # two lower facets of x (x = 1 and x - y = -1) are left for the dedup LP
+    lps = []
+    sup = priced.sup_affine
+    monkeypatch.setattr(priced, "sup_affine", lambda *a: lps.append(a) or sup(*a))
+    zone = Zone.from_constraints(
+        XY, [(None, "x", -1, False), ("x", None, 3, False), ("y", None, 2, False)]
+    )
+    pz = PricedZone(zone, AffineCost.of(XY, {"x": 1, "y": 1}))
+    pieces = reset_successors(pz, ["x", "y"])
+    assert pieces == [PricedZone(Zone.origin(XY), AffineCost.of(XY, {}, 1))]
+    assert len(lps) == 1
+
+
 def test_reset_pieces_realize_fiber_minimum():
     rng = random.Random(99)
     for _ in range(40):
