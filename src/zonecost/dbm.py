@@ -500,9 +500,69 @@ def sup_affine(
 ) -> tuple[int | Fraction | float, dict[str, int] | None]:
     """Supremum of an affine function over the closure of a non-empty zone.
 
-    Returns ``(value, witness)``; the witness is an integral point of the
-    closure attaining the supremum, or None when the supremum is +oo.  The
-    value is an ``int`` when the coefficients and constant are.
+    Returns ``(value, witness)``; the witness is the least point of the
+    optimal face, an integral point of the closure, or None when the
+    supremum is +oo.  The value is an ``int`` when the coefficients and
+    constant are integral.
+
+    In a canonical DBM each entry m_ij is already the shortest i -> j
+    distance (Bengtsson & Yi 2004), so three shapes of objective are read
+    off the matrix, strictness ignored; lower_k = -m_0k is clock k's lower
+    bound:
+
+    - all c_k <= 0, all zero included: the value is sum c_k * lower_k, at
+      the closure's least point.
+    - all c_k >= 0, some positive: each clock p with c_p > 0 sits at its
+      upper bound m_p0, and a DBM polyhedron attains these together since
+      it is closed under componentwise max; +oo when one is infinite.
+    - c * (x_a - x_b) with c > 0: the value is c * m_ab, +oo when m_ab is
+      infinite.
+
+    In the last two the optimal face adds x_p - x_s >= m_ps for each p with
+    c_p > 0, where s is 0, or b for a difference: arcs s -> p of weight
+    -m_ps.  Its least point is the negated shortest distances from 0, and
+    as the new arcs all leave s no shortest path takes two of them, so
+    coordinate k is max(lower_k, max_p m_ps - m_0s - m_pk).
+
+    Every other objective goes to the min-cost-flow dual, :func:`_sup_flow`.
+    """
+    if zone.is_empty:
+        raise EmptyZoneError("sup over an empty zone")
+    n = len(zone.clocks) + 1
+    m = zone.m
+    rates = [0] + [coeffs.get(c, 0) for c in zone.clocks]  # by node
+    pos = [k for k in range(1, n) if rates[k] > 0]
+    neg = [k for k in range(1, n) if rates[k] < 0]
+    if pos and neg and not (len(pos) == len(neg) == 1 and rates[pos[0]] == -rates[neg[0]]):
+        return _sup_flow(zone, coeffs, const)
+    # the least point; row 0 is finite since clocks are nonnegative
+    point = [-bound_value(e) for e in m[:n]]
+    if pos:
+        s = neg[0] if neg else 0
+        lower_s = point[s]  # read before the loop below raises point[b]
+        total = 0
+        for p in pos:
+            e = m[p * n + s]
+            if e >= INF:
+                return POS_INF, None
+            total += rates[p] * bound_value(e)
+            top = bound_value(e) + lower_s
+            row = p * n
+            for k in range(1, n):
+                e = m[row + k]
+                if e < INF and top - bound_value(e) > point[k]:
+                    point[k] = top - bound_value(e)
+    else:
+        total = sum(rates[k] * point[k] for k in neg)
+    if type(total) is Fraction and all(rates[k].denominator == 1 for k in pos + neg):
+        total = total.numerator  # integral rates give an int, as in the flow
+    return const + total, {c: point[k] for k, c in enumerate(zone.clocks, 1)}
+
+
+def _sup_flow(
+    zone: Zone, coeffs: Mapping[str, int | Fraction], const: int | Fraction
+) -> tuple[int | Fraction | float, dict[str, int] | None]:
+    """:func:`sup_affine` over any non-empty zone by the min-cost-flow dual.
 
     The dual of ``max c.x s.t. x_i - x_j <= m_ij`` is an uncapacitated
     transshipment: clock k supplies ``c_k`` units (scaled to integers), the
@@ -514,8 +574,6 @@ def sup_affine(
     so by complementary slackness they are an optimal integral vertex: the
     least point of the optimal face.
     """
-    if zone.is_empty:
-        raise EmptyZoneError("sup over an empty zone")
     n = len(zone.clocks) + 1
     rates = [coeffs.get(c, 0) for c in zone.clocks]
     scale = lcm(1, *(r.denominator for r in rates))

@@ -16,6 +16,7 @@ from grid_oracles import (
 from zonecost import dbm
 from zonecost.dbm import (
     INF,
+    POS_INF,
     EmptyZoneError,
     UnboundedZoneError,
     Zone,
@@ -572,3 +573,85 @@ def test_scale():
     assert s.contains({"x": 6, "y": 9})
     assert not s.contains({"x": 7, "y": 9})
     assert z.scale(1) == z
+
+
+# -- sup_affine: closed forms against the min-cost flow ------------------------
+
+
+def _shaped_coeffs(rng: random.Random, clocks: tuple[str, ...], shape: str, rational: bool):
+    """Coefficients of one objective shape; ``rational`` draws Fractions."""
+
+    def rate(lo: int, hi: int):
+        k = rng.randint(lo, hi)
+        return F(k, rng.choice((1, 2, 3))) if rational else k
+
+    zero = F(0) if rational else 0
+    coeffs = {c: zero for c in clocks if rng.random() < 0.5}  # explicit zeros
+    if shape == "nonpositive":
+        coeffs.update({c: rate(-4, 0) for c in rng.sample(clocks, rng.randint(0, len(clocks)))})
+    elif shape == "nonnegative":
+        coeffs.update({c: rate(0, 4) for c in clocks if rng.random() < 0.6})
+        coeffs[rng.choice(clocks)] = rate(1, 4)
+    elif shape == "difference":
+        a, b = rng.sample(clocks, 2)
+        coeffs[a] = rate(1, 4)
+        coeffs[b] = -coeffs[a]
+    else:  # mixed signs, not a difference
+        a, b = rng.sample(clocks, 2)
+        coeffs[a], coeffs[b] = rate(1, 4), rate(-4, -1)
+        if coeffs[a] == -coeffs[b]:
+            coeffs[a] += 1
+    return coeffs
+
+
+def test_sup_affine_closed_forms_match_flow_and_fm_oracle():
+    rng = random.Random(20261019)
+    seen = {"nonpositive": 0, "nonnegative": 0, "difference": 0, "mixed": 0}
+    infinite = 0
+    for _ in range(600):
+        clocks = ("u", "v", "w", "x", "y", "z")[: rng.randint(1, 6)]
+        z = random_zone(rng, clocks, 4)
+        if rng.random() < 0.33:
+            z = z.up()
+        shapes = ("nonpositive", "nonnegative", "difference", "mixed")
+        shape = rng.choice(shapes if len(clocks) > 1 else shapes[:2])
+        coeffs = _shaped_coeffs(rng, clocks, shape, rng.random() < 0.5)
+        const = rng.choice((rng.randint(-5, 5), F(rng.randint(-5, 5), rng.choice((1, 7)))))
+        got = sup_affine(z, coeffs, const)
+        want = dbm._sup_flow(z, coeffs, const)
+        assert got == want and type(got[0]) is type(want[0]), (z, coeffs, const)
+        if len(clocks) <= 3:  # Fourier-Motzkin stays cheap up to three clocks
+            neg = {c: -k for c, k in coeffs.items()}
+            assert got[0] == -fm_minimize(neg, -const, zone_constraints(z), list(clocks))
+        seen[shape] += 1
+        infinite += got[1] is None
+    assert min(seen.values()) > 75 and infinite > 25
+
+
+def test_sup_affine_closed_forms_hand_cases(monkeypatch):
+    flows = []
+    flow = dbm._sup_flow
+    monkeypatch.setattr(dbm, "_sup_flow", lambda *a: flows.append(a) or flow(*a))
+    z = fig4_cell()  # x in [0, 2], y in [1, 3], x <= y <= x + 2
+    # all-zero coefficients: the constant at the closure's least point
+    value, witness = sup_affine(z, {"x": 0, "y": F(0)}, 3)
+    assert (value, type(value), witness) == (3, int, {"x": 0, "y": 1})
+    # integral Fraction rates give an int value, as the flow's scale of 1 does
+    value, witness = sup_affine(z, {"x": F(2)})
+    assert (value, type(value), witness) == (4, int, {"x": 2, "y": 2})
+    # a difference with m_xy infinite: y is bounded, x is not
+    up = Zone.from_constraints(XY, [("y", None, 1, False)])
+    assert sup_affine(up, {"x": 1, "y": -1}) == (POS_INF, None)
+    # x - y <= 2 is tight on a face whose least point has x = 2 and, through
+    # x - z <= 1, z = 1, while the zone's least point is the origin
+    xyz = ("x", "y", "z")
+    box = Zone.from_constraints(
+        xyz,
+        [(c, None, 3, False) for c in xyz] + [("x", "y", 2, False), ("x", "z", 1, False)],
+    )
+    assert sup_affine(box, {"x": F(1, 2), "y": F(-1, 2)}) == (1, {"x": 2, "y": 0, "z": 1})
+    assert sup_affine(box, {}) == (0, {"x": 0, "y": 0, "z": 0})
+    assert flows == []
+    # a mixed-sign objective that is not a difference still reaches the flow
+    assert sup_affine(z, {"x": 2, "y": -1}) == (2, {"x": 2, "y": 2})
+    assert len(flows) == 1

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import MODELS, load_automaton
+from zonecost import dbm, priced
 from zonecost.dbm import NEG_INF, POS_INF, Zone, encode
 from zonecost.explorer import (
     Config,
@@ -245,3 +246,19 @@ def test_verdict_costs_and_run_delays_are_fractions(random_model_results):
         assert all(type(d) is F for d in delays)
         checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("name", ["fig2right", "fig2right_rate1", "fig7"])
+def test_closed_form_lps_need_no_flow_pass(monkeypatch, name):
+    # every LP of these explorations and witnesses is a one-sign objective or
+    # c * (x_a - x_b), which sup_affine reads off the canonical matrix
+    passes, lps = [], []
+    residual = dbm._residual_distances
+    monkeypatch.setattr(dbm, "_residual_distances", lambda *a: passes.append(a) or residual(*a))
+    for attr in ("sup_affine", "inf_affine"):
+        lp = getattr(priced, attr)
+        monkeypatch.setattr(priced, attr, lambda *a, lp=lp: lps.append(a) or lp(*a))
+    a = load_automaton(name)
+    v = explore(a, Config())
+    extract_witness(a, v.witness_state, F(1, 1000))
+    assert lps and passes == []
