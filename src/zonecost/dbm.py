@@ -51,6 +51,7 @@ def bound_add(a: int, b: int) -> int:
 
 
 LE_ZERO = encode(0, False)
+EMPTY_ENTRY = encode(-1, False)  # every entry of an empty zone's matrix
 
 
 @dataclass(frozen=True)
@@ -67,31 +68,29 @@ class Facet:
 
 
 class Zone:
-    """A canonical DBM over an ordered clock set (reference clock at index 0)."""
+    """A canonical DBM over an ordered clock set (reference clock at index 0).
 
-    # _cells memoizes inclusion's derived data under one M as (copy of M,
-    # M-cells, reduced pieces of the priced cells); like _hash it is derived
-    # data, ignored by ==, hash and repr
-    __slots__ = ("clocks", "m", "_empty", "_index", "_hash", "_cells")
+    A zone is a value: ``==`` and ``hash`` read only the clocks and the
+    matrix.  A negative diagonal marks the empty zone, and every operation
+    gives it the matrix of :meth:`empty`.
+    """
+
+    # _empty caches the diagonal's sign for the hot paths; _cells memoizes
+    # inclusion's derived data under one M as (copy of M, M-cells, reduced
+    # pieces of the priced cells), ignored by ==, hash and repr
+    __slots__ = ("clocks", "m", "_empty", "_cells")
 
     def __init__(self, clocks: Sequence[str], m: Sequence[int], *, canonical: bool = False):
         self.clocks = tuple(clocks)
         n = len(self.clocks) + 1
-        mat = list(m)
+        mat = tuple(m) if canonical else list(m)
         if len(mat) != n * n:
             raise ValueError("matrix size does not match clock count")
-        self._index = {c: i + 1 for i, c in enumerate(self.clocks)}
-        self._hash = None
-        self._cells = None
-        if canonical:
-            self.m = tuple(mat)
-            self._empty = False
-            return
-        empty = _close(mat, n)
-        if empty:
-            mat = _empty_matrix(n)
+        if not canonical and _close(mat, n):
+            mat = [EMPTY_ENTRY] * (n * n)
         self.m = tuple(mat)
-        self._empty = empty
+        self._empty = mat[0] < LE_ZERO
+        self._cells = None
 
     # -- construction -----------------------------------------------------
 
@@ -124,7 +123,7 @@ class Zone:
         return len(self.clocks)
 
     def idx(self, clock: str) -> int:
-        return self._index[clock]
+        return self.clocks.index(clock) + 1
 
     def entry(self, i: int, j: int) -> int:
         return self.m[i * (len(self.clocks) + 1) + j]
@@ -137,14 +136,11 @@ class Zone:
         return (
             isinstance(other, Zone)
             and self.clocks == other.clocks
-            and self._empty == other._empty
             and self.m == other.m
         )
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.clocks, self.m, self._empty))
-        return self._hash
+        return hash((self.clocks, self.m))
 
     def __repr__(self) -> str:
         if self._empty:
@@ -173,10 +169,10 @@ class Zone:
         if self._empty:
             return self
         n = len(self.clocks) + 1
-        index = self._index
+        index = self.clocks.index
         return self._conjoin(
             (
-                (0 if a is None else index[a]) * n + (0 if b is None else index[b]),
+                (0 if a is None else index(a) + 1) * n + (0 if b is None else index(b) + 1),
                 encode(value, strict),
             )
             for a, b, value, strict in constraints
@@ -223,7 +219,7 @@ class Zone:
         n = len(self.clocks) + 1
         mat = list(self.m)
         for clock in resets:
-            x = self._index[clock]
+            x = self.idx(clock)
             for j in range(n):
                 mat[x * n + j] = mat[0 * n + j]
                 mat[j * n + x] = mat[j * n + 0]
@@ -232,13 +228,14 @@ class Zone:
 
     def project(self, keep: Sequence[str]) -> "Zone":
         """Existentially eliminate all clocks outside ``keep``."""
-        keep_t = tuple(c for c in self.clocks if c in set(keep))
-        if set(keep) - set(self.clocks):
+        keep_set = set(keep)
+        if not keep_set.issubset(self.clocks):
             raise ValueError("projection clocks must be a subset")
+        keep_t = tuple(c for c in self.clocks if c in keep_set)
         if self._empty:
             return Zone.empty(keep_t)
         n = len(self.clocks) + 1
-        sel = [0] + [self._index[c] for c in keep_t]
+        sel = [0] + [k for k, c in enumerate(self.clocks, 1) if c in keep_set]
         mat = [self.m[i * n + j] for i in sel for j in sel]
         return Zone(keep_t, mat, canonical=True)
 
@@ -263,15 +260,7 @@ class Zone:
 
     @staticmethod
     def empty(clocks: Sequence[str]) -> "Zone":
-        n = len(clocks) + 1
-        z = Zone.__new__(Zone)
-        z.clocks = tuple(clocks)
-        z._index = {c: i + 1 for i, c in enumerate(z.clocks)}
-        z._hash = None
-        z._cells = None
-        z.m = tuple(_empty_matrix(n))
-        z._empty = True
-        return z
+        return Zone(clocks, [EMPTY_ENTRY] * (len(clocks) + 1) ** 2, canonical=True)
 
     def subset(self, other: "Zone") -> bool:
         """Entrywise comparison of canonical forms."""
@@ -331,7 +320,7 @@ class Zone:
                 vals[i] = lo
             else:
                 vals[i] = (lo + hi) / 2
-        return {c: vals[self._index[c]] for c in self.clocks}
+        return {c: vals[k] for k, c in enumerate(self.clocks, 1)}
 
     # -- facets --------------------------------------------------------------
 
@@ -348,10 +337,10 @@ class Zone:
             raise EmptyZoneError("facets of an empty zone")
         closed = self.closure()
         n = len(self.clocks) + 1
-        x = self._index[axis]
+        x = self.idx(axis)
         out: list[Facet] = []
         others: list[tuple[str | None, int]] = [(None, 0)] + [
-            (c, self._index[c]) for c in self.clocks if c != axis
+            (c, k) for k, c in enumerate(self.clocks, 1) if c != axis
         ]
         for other, j in others:
             if kind == "lower":
@@ -485,11 +474,6 @@ def _tighten(mat: list[int], n: int, i: int, j: int, e: int) -> bool:
             if d < mat[base + b]:
                 mat[base + b] = d
     return False
-
-
-def _empty_matrix(n: int) -> list[int]:
-    mat = [encode(-1, False)] * (n * n)
-    return mat
 
 
 # -- affine optimization over zones ------------------------------------------

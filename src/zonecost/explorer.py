@@ -148,13 +148,23 @@ def explore(
     else:
         incl = simple_includes
 
+    # one object per zone value, so equal zones share inclusion's memo
+    zones: dict[Zone, Zone] = {}
+
+    def interned(states: list[SymbolicState]) -> list[SymbolicState]:
+        for st in states:
+            z = zones.setdefault(st.pz.zone, st.pz.zone)
+            if z is not st.pz.zone:
+                st.pz = PricedZone(z, st.pz.cost)
+        return states
+
     stats = Stats()
     start = time.perf_counter()
     goals = a.goal_locations
     cost: int | Fraction | float = POS_INF
     best: SymbolicState | None = None
     passed: dict[str, list[SymbolicState]] = {}
-    waiting: list[SymbolicState] = _initial_states(a)
+    waiting: list[SymbolicState] = interned(_initial_states(a))
     stats.added_to_waiting = len(waiting)
     stats.max_stored = len(waiting)
     prune_enabled = cfg.pruning or cfg.hint is not None
@@ -208,7 +218,7 @@ def explore(
                     continue
                 kept.append(w)
             waiting = kept
-        successors = symbolic_post(a, s)
+        successors = interned(symbolic_post(a, s))
         stats.added_to_waiting += len(successors)
         if insert_at is not None:
             waiting[insert_at:insert_at] = successors
@@ -247,8 +257,7 @@ def _delay_interval(zone: Zone, v: dict[str, Fraction]):
     n = len(zone.clocks) + 1
     lo, lo_strict = Fraction(0), False
     hi, hi_strict = None, False
-    for c in zone.clocks:
-        i = zone.idx(c)
+    for i, c in enumerate(zone.clocks, 1):
         e = zone.m[i * n + 0]  # v[c] - t <= ub
         if e < INF:
             cand = v[c] - bound_value(e)
@@ -307,11 +316,8 @@ def extract_witness(a: Automaton, state: SymbolicState, eps: Fraction) -> Run:
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    mc = mincost(state.pz)
-    if mc == NEG_INF:
+    if mincost(state.pz) == NEG_INF:
         raise ValueError("no finite witness: cost diverges to -oo")
-    if mc == POS_INF:
-        raise ValueError("state has no valuations")
     chain: list[SymbolicState] = []
     cur: SymbolicState | None = state
     while cur is not None:

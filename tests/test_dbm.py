@@ -88,6 +88,43 @@ def test_intersect_empty_absorbs():
     assert empty.intersect([("x", None, 5, False)]).is_empty
 
 
+def test_emptiness_read_off_the_matrix():
+    # however an empty zone arises, it is one value: empty, equal, hashed
+    # and printed alike, with the matrix of Zone.empty
+    for k in range(4):
+        c = ("x", "y", "z")[:k]
+        contradiction = list(Zone.universal(c).m)
+        if k:
+            contradiction[k * (k + 1)] = encode(1, False)  # z <= 1
+            contradiction[k] = encode(-2, False)  # z >= 2
+        else:
+            contradiction[0] = encode(-1, False)  # 0 - 0 <= -1
+        empties = [
+            Zone.empty(c),
+            Zone(c, contradiction),
+            Zone(c, Zone.empty(c).m, canonical=True),
+            Zone.universal(c).intersect([(c[-1] if c else None, None, -1, False)]),
+            Zone.empty(c + ("w",)).project(c),
+        ]
+        assert all(z.is_empty for z in empties), k
+        assert len({z.m for z in empties}) == 1, k
+        assert all(z == empties[0] for z in empties), k
+        assert len({hash(z) for z in empties}) == 1, k
+        assert len({repr(z) for z in empties}) == 1, k
+        for z in (Zone.universal(c), Zone.origin(c), Zone(c, Zone.origin(c).m, canonical=True)):
+            assert not z.is_empty and z != empties[0], k
+
+
+def test_unknown_clock_raises():
+    z = fig4_zone()
+    with pytest.raises(ValueError):
+        z.intersect([("q", None, 1, False)])
+    with pytest.raises(ValueError):
+        z.intersect([(None, "q", 1, False)])
+    with pytest.raises(ValueError):
+        z.idx("q")
+
+
 def random_constraints(rng: random.Random, z: Zone, k: int) -> list:
     """``k`` constraints on z's clocks, strict or not; some contradict z."""
     names = (None,) + z.clocks

@@ -580,6 +580,24 @@ def test_priced_cells_reduced_once(monkeypatch):
     assert max(reductions.values()) == 1
 
 
+def test_cell_map_built_once_per_zone_value(monkeypatch):
+    # explore keeps one Zone object per zone value, so equal zones share the
+    # memo and each value's M-cells are built once per exploration
+    preorder = inclusion.clock_preorder
+    builds: Counter = Counter()
+
+    def counting_preorder(zone, m):
+        builds[zone] += 1
+        return preorder(zone, m)
+
+    monkeypatch.setattr(inclusion, "clock_preorder", counting_preorder)
+    for name in ("als_small", "als_hold", "fig7"):
+        builds.clear()
+        explore(load_automaton(name), Config())
+        assert builds, name
+        assert max(builds.values()) == 1, (name, sum(builds.values()), len(builds))
+
+
 def test_exploration_leaves_no_reference_cycles():
     # derived data stored on zones refers to nothing that refers back, so
     # every zone is freed by reference counting alone

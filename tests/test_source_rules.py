@@ -65,3 +65,49 @@ def test_traced_names_stay_bound():
         if attr not in owner.__dict__
     ]
     assert missing == []
+
+
+def _name(expr: ast.expr) -> str | None:
+    """The name a call or decorator refers to: ``f`` or ``mod.f``."""
+    return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
+
+
+def _import_time_nodes(tree: ast.Module):
+    """Every node evaluated when the module is imported: all but the bodies
+    of functions, whose decorators and defaults are still included."""
+    stack: list[ast.AST] = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            stack += args.defaults + [d for d in args.kw_defaults if d is not None]
+            stack += getattr(node, "decorator_list", [])
+            continue
+        yield node
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_level_mutable_state():
+    # derived data lives on values or in one call's locals (explore's intern
+    # table dies with the call), never in state shared between calls
+    displays = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    factories = {"dict", "list", "set", "defaultdict", "Counter"}
+    caches = {"cache", "lru_cache"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in _import_time_nodes(tree):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, displays):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                if not all(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)[:60]}")
+            elif isinstance(node, ast.Call) and _name(node.func) in factories:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)[:60]}")
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for dec in fn.decorator_list:
+                name = _name(dec.func if isinstance(dec, ast.Call) else dec)
+                if name in caches:
+                    found.append(f"{path.name}:{dec.lineno} @{name} on {fn.name}")
+    assert found == []
