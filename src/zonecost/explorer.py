@@ -238,12 +238,16 @@ def explore(
 # -- witness extraction ------------------------------------------------------------
 
 
-def _pick_point(zone: Zone, cost: AffineCost, budget: Fraction) -> dict[str, Fraction]:
-    """A point of the zone whose cost is within ``budget`` of the infimum."""
-    _, vertex = inf_affine(zone, cost.coeff_map(), cost.const)
-    if vertex is None:
+def _pick_point(zone: Zone, cost: AffineCost,
+                budget: Fraction) -> dict[str, int | Fraction]:
+    """A point of the zone whose cost is within ``budget`` of the infimum.
+
+    The LP vertex is integral and returned as is when the zone holds it;
+    only a vertex on a strict bound is moved towards an interior point.
+    """
+    _, v = inf_affine(zone, cost.coeff_map(), cost.const)
+    if v is None:
         raise WitnessError("cost must be bounded below on a witness zone")
-    v = {c: Fraction(x) for c, x in vertex.items()}
     if zone.contains(v):
         return v
     interior = zone.sample_point()
@@ -252,10 +256,10 @@ def _pick_point(zone: Zone, cost: AffineCost, budget: Fraction) -> dict[str, Fra
     return {c: v[c] + lam * (interior[c] - v[c]) for c in zone.clocks}
 
 
-def _delay_interval(zone: Zone, v: dict[str, Fraction]):
+def _delay_interval(zone: Zone, v: dict[str, int | Fraction]):
     """Feasible backward delays t with v - t*1 in the zone (plus strictness flags)."""
     n = len(zone.clocks) + 1
-    lo, lo_strict = Fraction(0), False
+    lo, lo_strict = 0, False
     hi, hi_strict = None, False
     for i, c in enumerate(zone.clocks, 1):
         e = zone.m[i * n + 0]  # v[c] - t <= ub
@@ -269,20 +273,20 @@ def _delay_interval(zone: Zone, v: dict[str, Fraction]):
             if hi is None or cand < hi or (cand == hi and bound_is_strict(e)):
                 hi, hi_strict = cand, bound_is_strict(e)
     if lo < 0:
-        lo, lo_strict = Fraction(0), False
+        lo, lo_strict = 0, False
     if hi is None:
         raise WitnessError("clocks are bounded below, so backward delay is bounded")
     return lo, lo_strict, hi, hi_strict
 
 
-def _choose_delay(entry: PricedZone, rate: int, v: dict[str, Fraction],
-                  budget: Fraction) -> Fraction:
+def _choose_delay(entry: PricedZone, rate: int, v: dict[str, int | Fraction],
+                  budget: Fraction) -> int | Fraction:
     lo, lo_strict, hi, hi_strict = _delay_interval(entry.zone, v)
-    slope = Fraction(rate) - entry.cost.diagonal_slope()
+    slope = rate - entry.cost.diagonal_slope()
     want_lo = slope >= 0
     t, strict = (lo, lo_strict) if want_lo else (hi, hi_strict)
     if strict:
-        room = (hi - lo) / 2
+        room = Fraction(hi - lo) / 2  # exact even when both ends are ints
         shift = min(room, budget / (abs(slope) + 1))
         if shift <= 0:
             raise WitnessError("degenerate strict interval")
@@ -290,22 +294,30 @@ def _choose_delay(entry: PricedZone, rate: int, v: dict[str, Fraction],
     return t
 
 
-def _fiber_point(parent_zone: Zone, cost: AffineCost, fixed: dict[str, Fraction],
-                 budget: Fraction) -> dict[str, Fraction]:
-    """Cheapest-within-budget point of the zone matching ``fixed`` coordinates."""
+def _fiber_point(parent_zone: Zone, cost: AffineCost, fixed: dict[str, int | Fraction],
+                 budget: Fraction) -> dict[str, int | Fraction]:
+    """Cheapest-within-budget point of the zone matching ``fixed`` coordinates.
+
+    A fractional fixed coordinate is made integral by scaling the zone by
+    the denominators' lcm ``d``; with ``d == 1`` the zone and cost are used
+    as they are.
+    """
     d = lcm(*[f.denominator for f in fixed.values()], 1)
-    scaled = parent_zone.scale(d)
+    zone, pick_cost = parent_zone, cost
+    if d > 1:
+        zone = parent_zone.scale(d)
+        coeffs = {c: Fraction(k, d) for c, k in cost.coeff_map().items()}
+        pick_cost = AffineCost.of(zone.clocks, coeffs, cost.const)
     constraints = []
     for c, val in fixed.items():
-        iv = int(val * d)
+        iv = int(val * d)  # an int, as encode needs, also for an integral Fraction
         constraints.append((c, None, iv, False))
         constraints.append((None, c, -iv, False))
-    fiber = scaled.intersect(constraints)
+    fiber = zone.intersect(constraints)
     if fiber.is_empty:
         raise WitnessError("reset fiber must meet the guarded parent zone")
-    coeffs = {c: Fraction(k, d) for c, k in cost.coeff_map().items()}
-    w = _pick_point(fiber, AffineCost.of(fiber.clocks, coeffs, cost.const), budget)
-    return {c: Fraction(w[c], d) for c in fiber.clocks}
+    w = _pick_point(fiber, pick_cost, budget)
+    return w if d == 1 else {c: Fraction(w[c], d) for c in fiber.clocks}
 
 
 def extract_witness(a: Automaton, state: SymbolicState, eps: Fraction) -> Run:
@@ -313,6 +325,9 @@ def extract_witness(a: Automaton, state: SymbolicState, eps: Fraction) -> Run:
 
     Delays are chosen backward along the recorded parent path by exact fiber
     minimization; strict bounds are approached to within the step budget.
+    Points and delays stay integral until an interpolation off a strict
+    bound, a strict delay or a fractional fiber coordinate makes a fraction;
+    the run's delays are ``Fraction``s.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -327,7 +342,7 @@ def extract_witness(a: Automaton, state: SymbolicState, eps: Fraction) -> Run:
     budget = Fraction(eps) / (2 * len(chain) + 3)
 
     v = _pick_point(state.pz.zone, state.pz.cost, budget)
-    delays: list[Fraction] = []
+    delays: list[int | Fraction] = []
     for s in reversed(chain):
         rate = a.location(s.location).rate
         t = _choose_delay(s.entry, rate, v, budget)
@@ -343,6 +358,6 @@ def extract_witness(a: Automaton, state: SymbolicState, eps: Fraction) -> Run:
         v = _fiber_point(guarded, s.parent.pz.cost, fixed, budget)
     delays.reverse()
     steps = tuple(
-        (delays[i], chain[i + 1].edge_index) for i in range(len(chain) - 1)
+        (Fraction(delays[i]), chain[i + 1].edge_index) for i in range(len(chain) - 1)
     )
-    return Run(steps=steps, trailing_delay=delays[-1])
+    return Run(steps=steps, trailing_delay=Fraction(delays[-1]))

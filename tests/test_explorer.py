@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import MODELS, load_automaton
-from zonecost import dbm, priced
+from grid_oracles import fm_minimize, zone_constraints
+from zonecost import dbm, explorer, priced
 from zonecost.dbm import NEG_INF, POS_INF, Zone, encode
 from zonecost.explorer import (
     Config,
@@ -15,12 +16,14 @@ from zonecost.explorer import (
     explore,
     extract_witness,
     symbolic_post,
+    _choose_delay,
+    _fiber_point,
     _initial_states,
     _pick_point,
 )
 from zonecost.inclusion import includes
 from zonecost.model import evaluate_run, max_constants
-from zonecost.priced import AffineCost
+from zonecost.priced import AffineCost, PricedZone
 
 
 def test_symbolic_post_goal_sink_empty():
@@ -182,6 +185,58 @@ def test_witness_validity_corpus(corpus):
         v = explore(a, Config(strategy="sbfs", iteration_cap=50_000))
         run = extract_witness(a, v.witness_state, eps)
         assert evaluate_run(a, run) <= v.cost + eps
+
+
+def test_witness_points_stay_integral(monkeypatch, corpus):
+    # LP vertices are integral, and these witnesses need no interpolation and
+    # no fractional reset fiber, so no point becomes a fraction and no zone
+    # is scaled
+    points, factors = [], []
+    pick = explorer._pick_point
+    monkeypatch.setattr(explorer, "_pick_point",
+                        lambda *a: points.append(pick(*a)) or points[-1])
+    scale = Zone.scale
+    monkeypatch.setattr(Zone, "scale", lambda z, f: factors.append(f) or scale(z, f))
+    for name in ["als_hold", "als_small", "ets_small", "fig2left", "fig2left_lax",
+                 "fig2right", "fig2right_rate1"]:
+        a = corpus[name]
+        v = explore(a, Config())
+        extract_witness(a, v.witness_state, F(1, 1000))
+    assert points
+    assert [p for p in points if any(type(x) is not int for x in p.values())] == []
+    assert factors == []
+
+
+def test_fiber_point_with_fractional_coordinate():
+    # 0 <= x <= 2, 1 < y <= 3, x - y <= 1 at x = 1/2: the zone is scaled by 2,
+    # and the cheapest vertex lies on the strict bound y > 1
+    zone = Zone.from_constraints(("x", "y"), [
+        ("x", None, 2, False), (None, "y", -1, True), ("y", None, 3, False),
+        ("x", "y", 1, False)])
+    cost = AffineCost.of(("x", "y"), {"x": 2, "y": 1}, 1)
+    budget = F(1, 100)
+    w = _fiber_point(zone, cost, {"x": F(1, 2)}, budget)
+    assert w["x"] == F(1, 2) and zone.contains(w)
+    fiber = zone_constraints(zone) + [({"x": F(1)}, F(1, 2), False),
+                                      ({"x": F(-1)}, F(-1, 2), False)]
+    best = fm_minimize({"x": F(2), "y": F(1)}, F(1), fiber, ["x", "y"])
+    assert best == 3
+    assert best < cost.evaluate(w) <= best + budget
+
+
+@pytest.mark.parametrize("rate, cx, budget, expect", [
+    (0, 0, F(10), F(3, 2)),  # the interval's middle, from below
+    (0, 1, F(10), F(3, 2)),  # the interval's middle, from above
+    (3, 0, F(1), F(1, 4)),   # the budget's share, from below
+])
+def test_strict_delay_is_an_exact_fraction(rate, cx, budget, expect):
+    # 1 < x < 4 entered backward from x = 4: delays lie in (0, 3), both ends
+    # strict and integral, where (hi - lo) / 2 would make a float
+    zone = Zone.from_constraints(("x",), [("x", None, 4, True), (None, "x", -1, True)])
+    entry = PricedZone(zone, AffineCost.of(("x",), {"x": cx}))
+    t = _choose_delay(entry, rate, {"x": 4}, budget)
+    assert type(t) is F and 0 < t < 3
+    assert t == expect
 
 
 def test_witness_for_diverging_cost_raises():
