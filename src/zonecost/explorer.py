@@ -98,9 +98,7 @@ def _arrive(loc: Location, pz: PricedZone, parent: SymbolicState | None = None,
 def symbolic_post(a: Automaton, s: SymbolicState) -> list[SymbolicState]:
     """Successors along every outgoing edge: guard, reset, weight, then arrival."""
     out: list[SymbolicState] = []
-    for idx, edge in enumerate(a.edges):
-        if edge.source != s.location:
-            continue
+    for idx, edge in a.leaving(s.location):
         guarded = constrain(s.pz, guard_constraints(edge.guard))
         if guarded is None:
             continue

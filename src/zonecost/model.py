@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -110,6 +111,8 @@ class Automaton:
             raise ModelError(f"automaton {self.name}: needs exactly one initial location")
         if not self.clocks:
             raise ModelError(f"automaton {self.name}: needs at least one clock")
+        if len(self._by_name) != len(self.locations):
+            raise ModelError(f"automaton {self.name}: duplicate location names")
 
     @property
     def initial(self) -> str:
@@ -119,11 +122,23 @@ class Automaton:
     def goal_locations(self) -> frozenset[str]:
         return frozenset(l.name for l in self.locations if l.goal)
 
+    @cached_property
+    def _by_name(self) -> dict[str, Location]:
+        return {l.name: l for l in self.locations}
+
+    @cached_property
+    def _out_edges(self) -> dict[str, tuple[tuple[int, Edge], ...]]:
+        out: dict[str, list[tuple[int, Edge]]] = {}
+        for i, e in enumerate(self.edges):
+            out.setdefault(e.source, []).append((i, e))
+        return {name: tuple(pairs) for name, pairs in out.items()}
+
     def location(self, name: str) -> Location:
-        for l in self.locations:
-            if l.name == name:
-                return l
-        raise KeyError(name)
+        return self._by_name[name]
+
+    def leaving(self, name: str) -> tuple[tuple[int, Edge], ...]:
+        """The (index, edge) pairs whose source is ``name``, in index order."""
+        return self._out_edges.get(name, ())
 
     def min_weight(self) -> int:
         rates = [l.rate for l in self.locations]
@@ -365,47 +380,40 @@ def compose(network: Network) -> Automaton:
     comps = network.automata
     designated = [i for i, a in enumerate(comps) if a.goal_locations]
     locations = []
+    edges = []
     for combo in itertools.product(*[a.locations for a in comps]):
-        name = ",".join(l.name for l in combo)
-        invariant = tuple(at for l in combo for at in l.invariant)
+        names = [l.name for l in combo]
+        src = ",".join(names)
         locations.append(
             Location(
-                name=name,
+                name=src,
                 rate=sum(l.rate for l in combo),
-                invariant=invariant,
+                invariant=tuple(at for l in combo for at in l.invariant),
                 goal=bool(designated)
                 and all(combo[i].goal for i in designated),
                 initial=all(l.initial for l in combo),
             )
         )
-    edges = []
-    for combo in itertools.product(*[a.locations for a in comps]):
-        src = ",".join(l.name for l in combo)
         for i, a in enumerate(comps):
-            for e in a.edges:
-                if e.source != combo[i].name:
-                    continue
+            for _, e in a.leaving(names[i]):
                 if e.sync is None:
-                    names = [l.name for l in combo]
-                    names[i] = e.target
-                    edges.append(
-                        Edge(src, ",".join(names), e.guard, e.resets, e.weight)
-                    )
+                    dst = names.copy()
+                    dst[i] = e.target
+                    edges.append(Edge(src, ",".join(dst), e.guard, e.resets, e.weight))
                 elif e.sync[1] == "!":
-                    chan = e.sync[0]
                     for j, b in enumerate(comps):
                         if j == i:
                             continue
-                        for f in b.edges:
-                            if f.sync != (chan, "?") or f.source != combo[j].name:
+                        for _, f in b.leaving(names[j]):
+                            if f.sync != (e.sync[0], "?"):
                                 continue
-                            names = [l.name for l in combo]
-                            names[i] = e.target
-                            names[j] = f.target
+                            dst = names.copy()
+                            dst[i] = e.target
+                            dst[j] = f.target
                             edges.append(
                                 Edge(
                                     src,
-                                    ",".join(names),
+                                    ",".join(dst),
                                     e.guard + f.guard,
                                     tuple(dict.fromkeys(e.resets + f.resets)),
                                     e.weight + f.weight,

@@ -125,26 +125,17 @@ def time_successor(region: Region, m: Mapping[str, int | None]) -> Region | None
 
 def corners(region: Region) -> list[Corner]:
     """Integral vertices of the closure of the region's bounded projection."""
-    base = {}
-    for i, kind in enumerate(region.kinds):
-        if kind == ABOVE:
-            continue
-        base[i] = kind[1]
-    m = len(region.order)
+    base = {i: kind[1] for i, kind in enumerate(region.kinds) if kind != ABOVE}
     out = []
-    for threshold in range(m, -1, -1):
+    # all rounded down first; the order's groups are non-empty, so the
+    # len(order) + 1 corners are pairwise distinct
+    for threshold in range(len(region.order), -1, -1):
         corner = dict(base)
-        for gi, group in enumerate(region.order):
-            if gi >= threshold:
-                for i in group:
-                    corner[i] = base[i] + 1
+        for group in region.order[threshold:]:
+            for i in group:
+                corner[i] += 1
         out.append(tuple(sorted(corner.items())))
-    # threshold m first gives the "all rounded down" corner; dedup keeps order
-    seen = []
-    for c in out:
-        if c not in seen:
-            seen.append(c)
-    return seen
+    return out
 
 
 def region_satisfies(region: Region, guard: Guard, m: Mapping[str, int | None]) -> bool:
@@ -184,15 +175,8 @@ def reset_region(region: Region, resets: Iterable[str],
 
 def reset_corner(corner: Corner, region_after: Region, resets_idx: set[int]) -> Corner:
     vals = dict(corner)
-    for i in list(vals):
-        if i in resets_idx:
-            del vals[i]
-    for i in region_after.bounded():
-        if i in resets_idx:
-            vals[i] = 0
-        # clocks beyond M keep no coordinate
-    vals = {i: v for i, v in vals.items() if region_after.kinds[i] != ABOVE}
-    return tuple(sorted(vals.items()))
+    # clocks beyond M keep no coordinate
+    return tuple((i, 0 if i in resets_idx else vals[i]) for i in region_after.bounded())
 
 
 @dataclass
@@ -256,9 +240,7 @@ def build_corner_point(a: Automaton, m: Mapping[str, int | None] | None = None,
             if projected in corners(succ):
                 edges.append((u, get(CornerState(node.location, succ, projected)), 0))
         # discrete edges
-        for e in a.edges:
-            if e.source != node.location:
-                continue
+        for _, e in a.leaving(node.location):
             if not region_satisfies(node.region, e.guard, m):
                 continue
             target_inv = a.location(e.target).invariant

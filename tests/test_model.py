@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import load_automaton, load_model
+from conftest import MODELS, load_automaton, load_model
+from grid_oracles import random_automaton
 from zonecost.model import (
     Atom,
+    Automaton,
+    Location,
     ModelError,
     Run,
     RunError,
@@ -108,6 +112,86 @@ def test_compose_product_counts():
     # goals: both planes at done, runway (no goals of its own) free or busy
     assert len(product.goal_locations) == 2
     assert all("done1" in g and "done2" in g for g in product.goal_locations)
+
+
+def test_compose_edge_order():
+    # product locations in itertools.product order; within one, component by
+    # component, edges in declaration order, each !-edge followed by its
+    # ?-partners (partner components in order, their edges in declaration order)
+    text = (
+        "clocks x;\n"
+        "automaton A\n"
+        " location a0 rate 1 initial;\n location a1 rate 0;\n"
+        " edge a0 -> a1 guard x >= 1 weight 1;\n"
+        " edge a0 -> a0 weight 2 sync go!;\n"
+        " edge a1 -> a0 weight 3;\n"
+        "automaton B\n"
+        " location b0 rate 1 initial;\n location b1 rate 0 goal;\n"
+        " edge b0 -> b1 weight 10 sync go?;\n"
+        " edge b0 -> b0 weight 20;\n"
+        " edge b0 -> b1 weight 30 sync go?;\n"
+        "automaton C\n"
+        " location c0 rate 0 initial;\n location c1 rate 0;\n"
+        " edge c0 -> c1 weight 100 sync go?;\n"
+        " edge c1 -> c0 weight 200;\n"
+    )
+    a = compose(parse_model(text))
+    assert [l.name for l in a.locations] == [
+        "a0,b0,c0", "a0,b0,c1", "a0,b1,c0", "a0,b1,c1",
+        "a1,b0,c0", "a1,b0,c1", "a1,b1,c0", "a1,b1,c1",
+    ]
+    assert [(e.source, e.target, e.weight) for e in a.edges] == [
+        ("a0,b0,c0", "a1,b0,c0", 1),
+        ("a0,b0,c0", "a0,b1,c0", 12),
+        ("a0,b0,c0", "a0,b1,c0", 32),
+        ("a0,b0,c0", "a0,b0,c1", 102),
+        ("a0,b0,c0", "a0,b0,c0", 20),
+        ("a0,b0,c1", "a1,b0,c1", 1),
+        ("a0,b0,c1", "a0,b1,c1", 12),
+        ("a0,b0,c1", "a0,b1,c1", 32),
+        ("a0,b0,c1", "a0,b0,c1", 20),
+        ("a0,b0,c1", "a0,b0,c0", 200),
+        ("a0,b1,c0", "a1,b1,c0", 1),
+        ("a0,b1,c0", "a0,b1,c1", 102),
+        ("a0,b1,c1", "a1,b1,c1", 1),
+        ("a0,b1,c1", "a0,b1,c0", 200),
+        ("a1,b0,c0", "a0,b0,c0", 3),
+        ("a1,b0,c0", "a1,b0,c0", 20),
+        ("a1,b0,c1", "a0,b0,c1", 3),
+        ("a1,b0,c1", "a1,b0,c1", 20),
+        ("a1,b0,c1", "a1,b0,c0", 200),
+        ("a1,b1,c0", "a0,b1,c0", 3),
+        ("a1,b1,c1", "a0,b1,c1", 3),
+        ("a1,b1,c1", "a1,b1,c0", 200),
+    ]
+    assert a.edges[0].guard == (Atom("x", ">=", 1),)
+
+
+def test_leaving_and_location_agree_with_a_scan():
+    rng = random.Random(20160211)
+    automata = [compose(parse_model(p.read_text(encoding="utf-8")))
+                for p in sorted(MODELS.glob("*.wta"))]
+    automata += [random_automaton(rng) for _ in range(50)]
+    for a in automata:
+        for l in a.locations:
+            assert list(a.leaving(l.name)) == [
+                (i, e) for i, e in enumerate(a.edges) if e.source == l.name
+            ]
+            assert a.location(l.name).name == l.name
+
+
+def test_location_lookup_edge_cases():
+    a = load_automaton("fig2left")
+    with pytest.raises(KeyError):
+        a.location("nowhere")
+    assert a.leaving("done") == ()
+
+
+def test_duplicate_location_names_rejected():
+    # automata built without the parser (compose, random_automaton) get the
+    # check too; a map by name would otherwise keep the last of the two
+    with pytest.raises(ModelError, match="duplicate location"):
+        Automaton("a", ("x",), (Location("l", 0, initial=True), Location("l", 1)), ())
 
 
 def test_max_constants_fig2right():

@@ -67,6 +67,23 @@ def test_traced_names_stay_bound():
     assert missing == []
 
 
+def test_only_the_model_matches_edges_to_locations():
+    # Automaton.leaving answers which edges leave a location; a comparison
+    # with an edge's source elsewhere is a scan of its own
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "model.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(operand, ast.Attribute) and operand.attr == "source"
+            for operand in [node.left, *node.comparators]
+        )
+    ]
+    assert found == []
+
+
 def _name(expr: ast.expr) -> str | None:
     """The name a call or decorator refers to: ``f`` or ``mod.f``."""
     return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
