@@ -12,6 +12,7 @@ that the natural integer order coincides with the bound order
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -270,7 +271,8 @@ class Zone:
             return True
         if other._empty:
             return False
-        return all(a <= b for a, b in zip(self.m, other.m))
+        # one C-level pass that stops at the first entry out of order
+        return all(map(operator.le, self.m, other.m))
 
     def contains(self, v: Mapping[str, Fraction | int]) -> bool:
         """Exact membership test of a rational valuation."""

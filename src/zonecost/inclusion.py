@@ -115,7 +115,8 @@ def clock_preorder(zone: Zone, m: MaxConstants) -> ClockPreorder:
 
 
 def m_cells(zone: Zone, m: MaxConstants) -> dict[frozenset[str], tuple[Zone, Zone]]:
-    """The zone's non-empty cells under M: Y -> (cell, cell projected onto Y).
+    """The zone's non-empty cells under M: Y -> (cell, cell projected onto Y),
+    largest Y first.
 
     Only downward-closed sets of the clock preorder can have non-empty cells,
     so the map holds every Y whose cell is non-empty.  The result is stored
@@ -129,6 +130,10 @@ def _memo(zone: Zone, m: MaxConstants) -> tuple[dict, dict, dict]:
     """The zone's derived data under M, kept in ``Zone._cells``: a copy of M,
     the M-cells and the reduced pieces of :func:`_reduced`.
 
+    The cells are stored largest Y first.  A projection onto more clocks
+    keeps more of the zone's constraints, so in a failing unpriced test it
+    is the one most likely to break inclusion, and the test tries it first.
+
     Nothing in it refers back to the zone, so a zone never holds itself and
     is freed by reference counting: a zone that lies inside one cell, where
     ``restrict_y`` returns the zone itself, stores an equal copy as the cell.
@@ -138,7 +143,8 @@ def _memo(zone: Zone, m: MaxConstants) -> tuple[dict, dict, dict]:
         return memo
     cells: dict[frozenset[str], tuple[Zone, Zone]] = {}
     if not zone.is_empty:
-        for y in clock_preorder(zone, m).downward_closed_sets():
+        ys = clock_preorder(zone, m).downward_closed_sets()
+        for y in sorted(ys, key=len, reverse=True):
             cell = restrict_y(zone, y, m)
             if cell is zone:
                 cell = Zone(zone.clocks, zone.m, canonical=True)
@@ -177,12 +183,18 @@ def _reduced(
 def unpriced_m_inclusion(zone: Zone, other: Zone, m: MaxConstants) -> bool:
     """Every valuation of ``zone`` has an M-equivalent valuation in ``other``.
 
-    Decided cell by cell through projections onto the below-M clocks.
+    Decided cell by cell through projections onto the below-M clocks.  The
+    cells come largest Y first, the most constrained projection, so a
+    failing test usually rejects on its first comparison.  A zone includes
+    itself, and exploration keeps one object per zone value, so identity
+    answers without reading any cells.
     """
+    if zone is other:
+        return True
     if zone.clocks != other.clocks:
         raise ValueError("clock sets differ")
-    theirs = m_cells(other, m)
-    for y, (_, proj) in m_cells(zone, m).items():
+    theirs = _memo(other, m)[1]
+    for y, (_, proj) in _memo(zone, m)[1].items():
         match = theirs.get(y)
         if match is None or not proj.subset(match[1]):
             return False

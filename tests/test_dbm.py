@@ -575,6 +575,44 @@ def test_zone_subset():
     assert z1.subset(z2)
     assert not z2.subset(z1)
 
+    # the encoded order (m,<) < (m,<=) < (m+1,<) < +oo, on upper and lower
+    # bounds alike
+    def x(*cons):
+        return Zone.from_constraints(("x",), cons)
+
+    below_2, upto_2 = x(("x", None, 2, True)), x(("x", None, 2, False))
+    below_3 = x(("x", None, 3, True))
+    assert below_2.subset(upto_2) and not upto_2.subset(below_2)
+    assert upto_2.subset(below_3) and not below_3.subset(upto_2)
+    above_2, from_2 = x((None, "x", -2, True)), x((None, "x", -2, False))
+    assert above_2.subset(from_2) and not from_2.subset(above_2)
+    universal = Zone.universal(("x",))
+    assert upto_2.subset(universal) and not universal.subset(upto_2)
+    assert from_2.subset(universal) and not universal.subset(from_2)
+    # two-clock difference bounds, finite against INF
+    diag = Zone.from_constraints(XY, [("x", "y", 0, True)])
+    assert diag.subset(Zone.universal(XY)) and not Zone.universal(XY).subset(diag)
+
+
+def test_zone_subset_empty_on_either_side():
+    empty = Zone.empty(("x",))
+    # x >= 5 has m_0x below every entry of the empty matrix, so only the
+    # emptiness check, not the entrywise order, puts the empty zone inside it
+    from_5 = Zone.from_constraints(("x",), [(None, "x", -5, False)])
+    assert min(from_5.m) < min(empty.m)
+    assert empty.subset(from_5) and not from_5.subset(empty)
+    assert empty.subset(empty)
+    assert empty.subset(Zone.universal(("x",))) and not Zone.universal(("x",)).subset(empty)
+
+
+def test_zone_subset_different_clocks_raise():
+    with pytest.raises(ValueError):
+        Zone.universal(("x",)).subset(Zone.universal(("y",)))
+    with pytest.raises(ValueError):
+        Zone.universal(XY).subset(Zone.universal(("y", "x")))
+    with pytest.raises(ValueError):
+        Zone.empty(("x",)).subset(Zone.empty(XY))
+
 
 def test_up_reset_monotone():
     rng = random.Random(13)

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import load_automaton
 from grid_oracles import (
+    _cell,
     brute_includes,
     fiber_min,
     random_point,
@@ -220,6 +221,70 @@ def test_unpriced_above_bound_point():
     m = {"x": 2}
     assert not unpriced_m_inclusion(z1, z2, m)
     assert unpriced_m_inclusion(z2, z1, m) is False
+
+
+def _unpriced_reference(zone: Zone, other: Zone, m: dict) -> bool:
+    # no memo and no preorder: every Y, down-set or not, from the cell itself
+    clocks = zone.clocks
+    for r in range(len(clocks) + 1):
+        for combo in itertools.combinations(clocks, r):
+            y = frozenset(combo)
+            mine = _cell(zone, y, m)
+            if mine.is_empty:
+                continue
+            theirs = _cell(other, y, m)
+            if theirs.is_empty:
+                return False
+            keep = [c for c in clocks if c in y]
+            if any(a > b for a, b in zip(mine.project(keep).m, theirs.project(keep).m)):
+                return False
+    return True
+
+
+def test_unpriced_matches_memo_free_reference_random():
+    rng = random.Random(1515)
+    seen = Counter()
+    for _ in range(400):
+        clocks = ("x", "y", "z", "w")[: rng.randint(1, 4)]
+        p, q = random_zone(rng, clocks, 4), random_zone(rng, clocks, 4)
+        if rng.random() < 1 / 3:
+            p, q = p.up(), q.up()
+        m = {c: rng.choice([None, 0, 1, 2, 3]) for c in clocks}
+        for a, b in ((p, q), (q, p)):
+            want = _unpriced_reference(a, b, m)
+            assert unpriced_m_inclusion(a, b, m) is want, (a, b, m)
+            seen[want] += 1
+        twin = Zone(p.clocks, p.m, canonical=True)
+        assert _unpriced_reference(p, p, m)
+        assert unpriced_m_inclusion(p, p, m)
+        assert unpriced_m_inclusion(p, twin, m) and unpriced_m_inclusion(twin, p, m)
+    assert seen[True] and seen[False]
+
+
+def test_unpriced_rejects_on_the_most_constrained_cell(monkeypatch):
+    # cells come largest Y first, so a failing test on fig2right rejects on
+    # its first projection compare, and a zone against itself needs none
+    unpriced, subset = inclusion.unpriced_m_inclusion, Zone.subset
+    counts = Counter()
+    inside = [False]
+
+    def counting_unpriced(zone, other, m):
+        counts["tests"] += 1
+        inside[0] = True
+        try:
+            return unpriced(zone, other, m)
+        finally:
+            inside[0] = False
+
+    def counting_subset(self, other):
+        counts["compares"] += inside[0]
+        return subset(self, other)
+
+    monkeypatch.setattr(inclusion, "unpriced_m_inclusion", counting_unpriced)
+    monkeypatch.setattr(Zone, "subset", counting_subset)
+    explore(load_automaton("fig2right"), Config())
+    assert counts["tests"]
+    assert counts["compares"] <= counts["tests"], counts
 
 
 # -- facet reduction --------------------------------------------------------------
