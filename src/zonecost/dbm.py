@@ -71,6 +71,10 @@ class Facet:
 class Zone:
     """A canonical DBM over an ordered clock set (reference clock at index 0).
 
+    The constructor takes a canonical matrix as it is, checking only its
+    size: every operation below keeps its result canonical, and any other
+    matrix is built through :meth:`from_constraints` or :meth:`intersect`.
+
     A zone is a value: ``==`` and ``hash`` read only the clocks and the
     matrix.  A negative diagonal marks the empty zone, and every operation
     gives it the matrix of :meth:`empty`.
@@ -81,16 +85,12 @@ class Zone:
     # pieces of the priced cells), ignored by ==, hash and repr
     __slots__ = ("clocks", "m", "_empty", "_cells")
 
-    def __init__(self, clocks: Sequence[str], m: Sequence[int], *, canonical: bool = False):
+    def __init__(self, clocks: Sequence[str], m: Sequence[int]):
         self.clocks = tuple(clocks)
-        n = len(self.clocks) + 1
-        mat = tuple(m) if canonical else list(m)
-        if len(mat) != n * n:
+        self.m = tuple(m)
+        if len(self.m) != (len(self.clocks) + 1) ** 2:
             raise ValueError("matrix size does not match clock count")
-        if not canonical and _close(mat, n):
-            mat = [EMPTY_ENTRY] * (n * n)
-        self.m = tuple(mat)
-        self._empty = mat[0] < LE_ZERO
+        self._empty = self.m[0] < LE_ZERO
         self._cells = None
 
     # -- construction -----------------------------------------------------
@@ -102,13 +102,13 @@ class Zone:
         for i in range(n):
             mat[i * n + i] = LE_ZERO
             mat[0 * n + i] = LE_ZERO  # clocks are nonnegative
-        return Zone(clocks, mat, canonical=True)
+        return Zone(clocks, mat)
 
     @staticmethod
     def origin(clocks: Sequence[str]) -> "Zone":
         n = len(clocks) + 1
         mat = [LE_ZERO] * (n * n)
-        return Zone(clocks, mat, canonical=True)
+        return Zone(clocks, mat)
 
     @staticmethod
     def from_constraints(
@@ -119,9 +119,6 @@ class Zone:
         return Zone.universal(clocks).intersect(constraints)
 
     # -- basic accessors ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.clocks)
 
     def idx(self, clock: str) -> int:
         return self.clocks.index(clock) + 1
@@ -201,7 +198,7 @@ class Zone:
                     return Zone.empty(self.clocks)
         if mat is self.m:
             return self
-        return Zone(self.clocks, mat, canonical=True)
+        return Zone(self.clocks, mat)
 
     def up(self) -> "Zone":
         """Delay closure: drop individual upper bounds (stays canonical)."""
@@ -211,7 +208,7 @@ class Zone:
         mat = list(self.m)
         for i in range(1, n):
             mat[i * n + 0] = INF
-        return Zone(self.clocks, mat, canonical=True)
+        return Zone(self.clocks, mat)
 
     def reset(self, resets: Sequence[str]) -> "Zone":
         """Set the given clocks to 0 (image, not precondition)."""
@@ -225,7 +222,7 @@ class Zone:
                 mat[x * n + j] = mat[0 * n + j]
                 mat[j * n + x] = mat[j * n + 0]
             mat[x * n + x] = LE_ZERO
-        return Zone(self.clocks, mat, canonical=True)
+        return Zone(self.clocks, mat)
 
     def project(self, keep: Sequence[str]) -> "Zone":
         """Existentially eliminate all clocks outside ``keep``."""
@@ -238,14 +235,14 @@ class Zone:
         n = len(self.clocks) + 1
         sel = [0] + [k for k, c in enumerate(self.clocks, 1) if c in keep_set]
         mat = [self.m[i * n + j] for i in sel for j in sel]
-        return Zone(keep_t, mat, canonical=True)
+        return Zone(keep_t, mat)
 
     def closure(self) -> "Zone":
         """Weaken every strict bound; the topological closure for non-empty zones."""
         if self._empty:
             return self
         mat = [e if e >= INF else (e | 1) for e in self.m]
-        return Zone(self.clocks, mat, canonical=True)
+        return Zone(self.clocks, mat)
 
     def scale(self, factor: int) -> "Zone":
         """The zone of ``factor * v`` for ``v`` in the zone (integer factor >= 1)."""
@@ -257,11 +254,11 @@ class Zone:
             e if e >= INF else encode(bound_value(e) * factor, bound_is_strict(e))
             for e in self.m
         ]
-        return Zone(self.clocks, mat, canonical=True)
+        return Zone(self.clocks, mat)
 
     @staticmethod
     def empty(clocks: Sequence[str]) -> "Zone":
-        return Zone(clocks, [EMPTY_ENTRY] * (len(clocks) + 1) ** 2, canonical=True)
+        return Zone(clocks, [EMPTY_ENTRY] * (len(clocks) + 1) ** 2)
 
     def subset(self, other: "Zone") -> bool:
         """Entrywise comparison of canonical forms."""
@@ -411,7 +408,6 @@ class Zone:
             quotient = Zone(
                 [self.clocks[r - 1] for r in reps[1:]],
                 [m[a * n + b] for a in reps for b in reps],
-                canonical=True,
             )
             x, rest = quotient.clocks[0], quotient.clocks[1:]
             points = set()
@@ -431,7 +427,13 @@ class Zone:
 
 
 def _close(mat: list[int], n: int) -> bool:
-    """Floyd-Warshall closure in place; returns True when inconsistent."""
+    """Floyd-Warshall closure in place; returns True when inconsistent.
+
+    No library path calls it: zones are canonical by construction, and
+    intersections tighten with :func:`_tighten`.  It stays bound here as the
+    tests' reference closure and because the benchmark's tracer counts
+    ``dbm._close`` by name.
+    """
     for i in range(n):
         ii = mat[i * n + i]
         if ii < LE_ZERO:

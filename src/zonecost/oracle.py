@@ -138,7 +138,7 @@ def corners(region: Region) -> list[Corner]:
     return out
 
 
-def region_satisfies(region: Region, guard: Guard, m: Mapping[str, int | None]) -> bool:
+def region_satisfies(region: Region, guard: Guard) -> bool:
     for atom in guard:
         i = region.clocks.index(atom.clock)
         kind = region.kinds[i]
@@ -212,7 +212,7 @@ def build_corner_point(a: Automaton, m: Mapping[str, int | None] | None = None,
     r0 = initial_region(a.clocks, m)
     init_loc = a.location(a.initial)
     graph = CornerGraph(nodes, edges, None, index)
-    if not region_satisfies(r0, init_loc.invariant, m):
+    if not region_satisfies(r0, init_loc.invariant):
         return graph
     c0: Corner = tuple(sorted((i, 0) for i in r0.bounded()))
     todo: list[CornerState] = []
@@ -234,18 +234,18 @@ def build_corner_point(a: Automaton, m: Mapping[str, int | None] | None = None,
             edges.append((u, u, rate))
         # zero-delay step to the time-successor region through a shared corner
         succ = time_successor(node.region, m)
-        if succ is not None and region_satisfies(succ, loc.invariant, m):
+        if succ is not None and region_satisfies(succ, loc.invariant):
             keep = set(succ.bounded())
             projected = tuple((i, v) for i, v in node.corner if i in keep)
             if projected in corners(succ):
                 edges.append((u, get(CornerState(node.location, succ, projected)), 0))
         # discrete edges
         for _, e in a.leaving(node.location):
-            if not region_satisfies(node.region, e.guard, m):
+            if not region_satisfies(node.region, e.guard):
                 continue
             target_inv = a.location(e.target).invariant
             r2 = reset_region(node.region, e.resets, m)
-            if not region_satisfies(r2, target_inv, m):
+            if not region_satisfies(r2, target_inv):
                 continue
             idxs = {a.clocks.index(c) for c in e.resets}
             c2 = reset_corner(node.corner, r2, idxs)

@@ -14,13 +14,23 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from zonecost.dbm import INF, NEG_INF, Zone, bound_is_strict, bound_value
+from zonecost.dbm import INF, NEG_INF, Zone, _close, bound_is_strict, bound_value
 from zonecost.model import Atom, Automaton, Edge, Location
 from zonecost.priced import AffineCost, PricedZone
 
 # Constraints are (coeffs: dict var -> Fraction, rhs: Fraction, strict: bool),
 # meaning  sum(coeffs[v] * v) <= rhs  (or < rhs).
 Constraint = tuple[dict, Fraction, bool]
+
+
+def closed_zone(clocks: Sequence[str], raw: Sequence[int]) -> Zone:
+    """The zone of a raw (not necessarily canonical) matrix, closed by
+    Floyd-Warshall, the reference for the library's canonical-by-construction
+    operations: :meth:`Zone.empty` when the bounds are inconsistent."""
+    mat = list(raw)
+    if _close(mat, len(clocks) + 1):
+        return Zone.empty(clocks)
+    return Zone(clocks, mat)
 
 
 def zone_constraints(zone: Zone, *, closed: bool = False) -> list[Constraint]:
@@ -237,6 +247,18 @@ def tree_vertices(mat: Sequence[int], n: int) -> set[tuple[int, ...]]:
     return found
 
 
+def combination_down_sets(pre) -> list[frozenset[str]]:
+    """The down-sets of a :class:`ClockPreorder` from all 2^n clock subsets,
+    by cardinality and then in the clock order: the enumeration that
+    ``downward_closed_sets`` replaced, kept as its reference."""
+    return [
+        frozenset(combo)
+        for r in range(len(pre.clocks) + 1)
+        for combo in itertools.combinations(pre.clocks, r)
+        if all(pre.below[c] <= frozenset(combo) for c in combo)
+    ]
+
+
 # -- random generation -------------------------------------------------------------
 
 
@@ -297,7 +319,7 @@ def weaken(rng: random.Random, pz: PricedZone) -> PricedZone:
             if i == 0:
                 e2 = min(e2, LE_ZERO)
             mat[i * n + j] = max(e, e2)
-    zone = Zone(z.clocks, mat)
+    zone = closed_zone(z.clocks, mat)
     if pz.cost.minus_infinity:
         return PricedZone(zone, pz.cost)
     coeffs = {

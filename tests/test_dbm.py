@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from grid_oracles import (
+    closed_zone,
     fm_minimize,
     random_point,
     random_zone,
@@ -48,7 +49,7 @@ def fig4_cell() -> Zone:
 
 def test_canonicalize_unconstrained_identity():
     z = Zone.universal(XY)
-    assert Zone(z.clocks, z.m) == z
+    assert closed_zone(z.clocks, z.m) == z
 
 
 def test_canonicalize_derives_transitive_bound():
@@ -65,7 +66,7 @@ def test_canonicalize_idempotent_random():
     rng = random.Random(1)
     for _ in range(50):
         z = random_zone(rng, XY, 4)
-        assert Zone(z.clocks, z.m) == z
+        assert closed_zone(z.clocks, z.m) == z
 
 
 def test_intersect_origin():
@@ -101,8 +102,8 @@ def test_emptiness_read_off_the_matrix():
             contradiction[0] = encode(-1, False)  # 0 - 0 <= -1
         empties = [
             Zone.empty(c),
-            Zone(c, contradiction),
-            Zone(c, Zone.empty(c).m, canonical=True),
+            closed_zone(c, contradiction),
+            Zone(c, Zone.empty(c).m),
             Zone.universal(c).intersect([(c[-1] if c else None, None, -1, False)]),
             Zone.empty(c + ("w",)).project(c),
         ]
@@ -111,7 +112,7 @@ def test_emptiness_read_off_the_matrix():
         assert all(z == empties[0] for z in empties), k
         assert len({hash(z) for z in empties}) == 1, k
         assert len({repr(z) for z in empties}) == 1, k
-        for z in (Zone.universal(c), Zone.origin(c), Zone(c, Zone.origin(c).m, canonical=True)):
+        for z in (Zone.universal(c), Zone.origin(c), Zone(c, Zone.origin(c).m)):
             assert not z.is_empty and z != empties[0], k
 
 
@@ -140,7 +141,7 @@ def random_constraints(rng: random.Random, z: Zone, k: int) -> list:
 
 
 def test_intersections_match_full_closure_random():
-    # references: the entrywise min of the raw bounds, closed by the constructor
+    # references: the entrywise min of the raw bounds, closed by Floyd-Warshall
     rng = random.Random(20261018)
     outcomes = {"unchanged": 0, "tightened": 0, "empty": 0}
     for _ in range(300):
@@ -152,12 +153,12 @@ def test_intersections_match_full_closure_random():
         for p, q, value, strict in cons:
             k = (0 if p is None else a.idx(p)) * n + (0 if q is None else a.idx(q))
             raw[k] = min(raw[k], encode(value, strict))
-        got, want = a.intersect(cons), Zone(a.clocks, raw)
+        got, want = a.intersect(cons), closed_zone(a.clocks, raw)
         assert (got.m, got.is_empty) == (want.m, want.is_empty)
         assert (got is a) == (raw == list(a.m))
         outcomes["empty" if got.is_empty else "unchanged" if got is a else "tightened"] += 1
         got = a.intersect_zone(b)
-        want = Zone(a.clocks, [min(x, y) for x, y in zip(a.m, b.m)])
+        want = closed_zone(a.clocks, [min(x, y) for x, y in zip(a.m, b.m)])
         assert (got.m, got.is_empty) == (want.m, want.is_empty)
         outcomes["empty" if got.is_empty else "unchanged" if got is a else "tightened"] += 1
     assert min(outcomes.values()) >= 30
@@ -639,7 +640,7 @@ def test_operations_return_canonical_zones():
             z.intersect_zone(random_zone(rng, XY, 3)),
         )
         for derived in derived_zones:
-            assert Zone(derived.clocks, derived.m) == derived
+            assert closed_zone(derived.clocks, derived.m) == derived
 
 
 def test_scale():

@@ -12,6 +12,7 @@ from conftest import load_automaton
 from grid_oracles import (
     _cell,
     brute_includes,
+    combination_down_sets,
     fiber_min,
     random_point,
     random_priced_zone,
@@ -22,6 +23,7 @@ from zonecost import inclusion, priced as priced_mod
 from zonecost.dbm import INF, NEG_INF, Zone, bound_is_strict, bound_value, sup_affine
 from zonecost.explorer import Config, explore
 from zonecost.inclusion import (
+    ClockPreorder,
     LowerBoundViolation,
     clock_preorder,
     facet_reduce,
@@ -97,23 +99,21 @@ def test_restrict_y_never_compared_clock():
 
 def test_preorder_fig4_only_reflexive():
     pre = clock_preorder(fig4_zone(), M4)
-    assert pre.leq("x", "x") and pre.leq("y", "y")
-    assert not pre.leq("x", "y") and not pre.leq("y", "x")
-    assert pre.below_m == frozenset() and pre.above_m == frozenset()
+    assert pre.below == {"x": frozenset({"x"}), "y": frozenset({"y"})}
 
 
 def test_preorder_rule1_below_m():
     z = Zone.from_constraints(XY, [("x", None, 1, False)])
     pre = clock_preorder(z, {"x": 2, "y": 3})
-    assert pre.leq("x", "y")
-    assert "x" in pre.below_m
+    # x <= M_x throughout, so x lies below every clock
+    assert pre.below == {"x": frozenset({"x"}), "y": frozenset(XY)}
 
 
 def test_preorder_uniform_total_on_reset_generated_zone():
     # zones from reset-only automata never cross the diagonal
     z = Zone.from_constraints(XY, [("x", "y", 0, False)])  # x <= y
     pre = clock_preorder(z, uniform_bounds({"x": 2, "y": 3}))
-    assert pre.leq("x", "y") or pre.leq("y", "x")
+    assert "x" in pre.below["y"] or "y" in pre.below["x"]
     ys = list(pre.downward_closed_sets())
     assert len(ys) <= len(XY) + 1
 
@@ -155,8 +155,8 @@ def test_preorder_is_closure_of_one_step_rules():
         pre = clock_preorder(z, m)
         assert pre.below == _one_step_preorder(z, m)
         for x, y, w in itertools.product(clocks, repeat=3):
-            if pre.leq(x, y) and pre.leq(y, w):
-                assert pre.leq(x, w)
+            if x in pre.below[y] and y in pre.below[w]:
+                assert x in pre.below[w]
         n = len(clocks) + 1
         pairs = [] if z.is_empty else [
             (z.m[i * n + j], z.m[j * n + i]) for i, j in itertools.combinations(range(n), 2)
@@ -176,6 +176,38 @@ def test_downward_closed_sets_counts():
     assert [sorted(y) for y in pre.downward_closed_sets()] == [[], ["x"], ["y"], ["x", "y"]]
     chain = clock_preorder(Zone.from_constraints(XY, [("x", None, 2, False)]), M4)
     assert [sorted(y) for y in chain.downward_closed_sets()] == [[], ["x"], ["x", "y"]]
+    # both clocks above M throughout: one class x <= y <= x, which no
+    # down-set reaches by adding one clock at a time
+    above = Zone.from_constraints(XY, [(None, "x", -3, False), (None, "y", -4, False)])
+    both = clock_preorder(above, M4)
+    assert [sorted(y) for y in both.downward_closed_sets()] == [[], ["x", "y"]]
+
+
+def _random_preorder(rng: random.Random, clocks: tuple[str, ...]) -> ClockPreorder:
+    # a random relation, closed reflexively and transitively (Warshall)
+    p = rng.random() / 2
+    rel = {(x, y) for x in clocks for y in clocks if x == y or rng.random() < p}
+    for k, i, j in itertools.product(clocks, repeat=3):
+        if (i, k) in rel and (k, j) in rel:
+            rel.add((i, j))
+    return ClockPreorder(clocks, {y: frozenset(x for x in clocks if (x, y) in rel) for y in clocks})
+
+
+def test_downward_closed_sets_match_combination_reference_random():
+    # the construction against the 2^n subset loop it replaced: the same
+    # list in the same order, on preorders with and without classes
+    rng = random.Random(20261019)
+    names = ("a", "b", "c", "d", "e", "f", "g")
+    seen = Counter()
+    for _ in range(1500):
+        clocks = names[: rng.randint(1, 7)]
+        pre = _random_preorder(rng, clocks)
+        assert pre.downward_closed_sets() == combination_down_sets(pre), pre
+        seen["class"] += any(
+            x != y and x in pre.below[y] and y in pre.below[x] for x in clocks for y in clocks
+        )
+        seen["seven"] += len(clocks) == 7
+    assert seen["class"] >= 300 and seen["seven"] >= 150, seen
 
 
 def test_downward_closed_sets_cover_all_nonempty_cells():
@@ -254,7 +286,7 @@ def test_unpriced_matches_memo_free_reference_random():
             want = _unpriced_reference(a, b, m)
             assert unpriced_m_inclusion(a, b, m) is want, (a, b, m)
             seen[want] += 1
-        twin = Zone(p.clocks, p.m, canonical=True)
+        twin = Zone(p.clocks, p.m)
         assert _unpriced_reference(p, p, m)
         assert unpriced_m_inclusion(p, p, m)
         assert unpriced_m_inclusion(p, twin, m) and unpriced_m_inclusion(twin, p, m)

@@ -84,6 +84,23 @@ def test_only_the_model_matches_edges_to_locations():
     assert found == []
 
 
+def test_no_subset_enumeration_in_library():
+    # cells, vertices and LPs are all built from the zone's structure; a loop
+    # over every clock subset is the 2^n search each of them replaced
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "combinations")
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "itertools"
+            and any(alias.name == "combinations" for alias in node.names)
+        )
+    ]
+    assert found == []
+
+
 def _name(expr: ast.expr) -> str | None:
     """The name a call or decorator refers to: ``f`` or ``mod.f``."""
     return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
