@@ -21,7 +21,9 @@ from typing import Mapping
 # and ``inclusion.is_lower_bounded`` by name, so the imports stay bound;
 # facet_reduce finds an unbounded cost in its elimination, without an LP
 from .dbm import NEG_INF, Zone, encode, inf_affine, sup_affine  # noqa: F401
-from .priced import AffineCost, PricedZone, _dedup, _dominates, is_lower_bounded  # noqa: F401
+from .priced import (  # noqa: F401
+    AffineCost, PricedZone, _dedup, _dominates, _drop_contained, is_lower_bounded,
+)
 
 # Per-clock maximal constants; None encodes "never compared" (-oo).
 MaxConstants = Mapping[str, int | None]
@@ -219,6 +221,16 @@ def facet_reduce(pz: PricedZone, y: frozenset[str] | set[str]) -> list[tuple[Zon
     dominator is defined wherever it is and costs no more; a dominated right
     piece lies inside its dominator's domain, so it never sets the minimum
     and never provides the only cover of a point.
+
+    An elimination that starts from one piece needs no cost comparison for
+    that (``priced._drop_contained``): a point of the fiber on a lower facet
+    ``x = other + pivot`` satisfies every lower bound of x, so it is the
+    fiber's lowest point, which is the minimum when ``c_x >= 0``; upper
+    facets serve ``c_x < 0`` alike.  Each piece is then the fiber minimum on
+    its whole closed domain, and dominance is zone containment.  An
+    elimination that starts from several pieces uses ``priced._dedup``,
+    since pieces of different parents can disagree where their domains
+    overlap.
     """
     if pz.cost.minus_infinity:
         raise LowerBoundViolation("facet reduction of the -oo cost")
@@ -239,7 +251,7 @@ def facet_reduce(pz: PricedZone, y: frozenset[str] | set[str]) -> list[tuple[Zon
                     facet.zone.project(remaining),
                     p.cost.substitute(x, other, pivot, drop=True),
                 ))
-        pieces = _dedup(nxt)
+        pieces = _drop_contained(nxt) if len(pieces) == 1 else _dedup(nxt)
     return [(p.zone, p.cost) for p in pieces]
 
 

@@ -164,11 +164,14 @@ def is_lower_bounded(pz: PricedZone) -> bool:
 
 
 def constrain(pz: PricedZone, guard: Iterable[tuple[str | None, str | None, int, bool]]):
-    """Intersect the zone with constraints; None when the result is empty."""
+    """Intersect the zone with constraints; None when the result is empty.
+
+    Returns ``pz`` itself when the zone already implies every constraint.
+    """
     z = pz.zone.intersect(guard)
     if z.is_empty:
         return None
-    return PricedZone(z, pz.cost)
+    return pz if z is pz.zone else PricedZone(z, pz.cost)
 
 
 def add_weight(pz: PricedZone, w: int) -> PricedZone:
@@ -191,7 +194,15 @@ def _dominates(q: PricedZone, p: PricedZone) -> bool:
 
 
 def _dedup(pieces: list[PricedZone]) -> list[PricedZone]:
-    """Drop pieces that never realize the pointwise minimum (keep-first on ties)."""
+    """Drop pieces that never realize the pointwise minimum (keep-first on ties).
+
+    The pass for pieces of several parents: the steps of
+    :func:`reset_successors` and ``inclusion.facet_reduce`` that start from
+    two or more pieces.  Each such piece is exact only for its own parent, so
+    two pieces can disagree where their domains overlap, and dominance takes
+    a cost comparison, an LP per contained pair.  Steps that start from one
+    priced zone use :func:`_drop_contained`.
+    """
     out: list[PricedZone] = []
     for p in pieces:
         if any(_dominates(q, p) for q in out):
@@ -201,15 +212,48 @@ def _dedup(pieces: list[PricedZone]) -> list[PricedZone]:
     return out
 
 
+def _drop_contained(pieces: list[PricedZone]) -> list[PricedZone]:
+    """:func:`_dedup` for the pieces of one parent, by zone containment alone.
+
+    A step that starts from one priced zone gives pieces that each equal the
+    step's exact optimum on their whole closed domain (see
+    :func:`delay_successors`, :func:`reset_successors` and
+    ``inclusion.facet_reduce``).  Two such pieces agree wherever both are
+    defined, so q dominates p exactly when p's zone lies in q's, and no cost
+    is compared.  Such a step yields either one -oo piece or only finite
+    ones, so the sentinel never meets a finite piece here.  Of two equal
+    zones the first is kept, as :func:`_dedup` keeps it.
+    """
+    out: list[PricedZone] = []
+    for p in pieces:
+        if any(p.zone.subset(q.zone) for q in out):
+            continue
+        out = [q for q in out if not q.zone.subset(p.zone)]
+        out.append(p)
+    return out
+
+
 def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
     """Pieces covering up(Z) whose pointwise minimum is the optimal delay cost.
 
+    Reaching w by a delay t costs ``cost(w) + d * t`` with ``d = rate -
+    slope``, the slope being the cost's along the diagonal, so the optimum
+    takes the shortest delay when d > 0 and the longest when d < 0.
     Followed backward along the diagonal, a point leaves Z through a clock's
-    own bound: an upper bound ``x = b`` when ``rate`` exceeds the cost's
-    diagonal slope, a lower bound otherwise.  Each bound gives the piece
-    ``up(closure(Z) & {x = b}) & up(Z)`` with the cost sheared along x
-    (Larsen et al., CAV 2001); Z itself leads the pieces of an increasing
-    cost unless a clock is fixed in Z, which the bound pieces then cover.
+    own bound: an upper bound ``x = b`` when d > 0, a lower bound otherwise.
+    Each bound gives the piece ``up(closure(Z) & {x = b}) & up(Z)`` with the
+    cost sheared along x (Larsen et al., CAV 2001); Z itself leads the pieces
+    of an increasing cost unless a clock is fixed in Z, which the bound
+    pieces then cover.
+
+    Every piece is the optimum on its whole closed domain, so containment
+    alone deduplicates them (:func:`_drop_contained`).  For d > 0 the point
+    on the face x = b is the first point of closure(Z) met going back along
+    the diagonal, because any shorter delay puts x above b, so the sheared
+    cost is the optimum; Z itself, at delay 0, is optimal too.  For d < 0
+    the same argument holds with lower bounds.  Equal faces give equal
+    pieces, so a face equal to an earlier one is skipped before its piece
+    is built.
     """
     zone = pz.zone
     if zone.is_empty:
@@ -222,6 +266,7 @@ def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
     n = len(zone.clocks) + 1
     closed = zone.closure()
     pieces: list[PricedZone] = []
+    faces: set[Zone] = set()
     fixed = False
     for x in zone.clocks:
         i = zone.idx(x)
@@ -232,12 +277,15 @@ def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
             continue
         b = bound_value(e) if d > 0 else -bound_value(e)
         face = closed.intersect([(x, None, b, False), (None, x, -b, False)])
+        if face in faces:
+            continue
+        faces.add(face)
         piece_zone = face.up().intersect_zone(up)
         if not piece_zone.is_empty:
             pieces.append(PricedZone(piece_zone, pz.cost.shear(x, d, b)))
     if d > 0 and not fixed:
         pieces.insert(0, pz)
-    return _dedup(pieces)
+    return _drop_contained(pieces)
 
 
 def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
@@ -247,6 +295,16 @@ def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
     when the clock's coefficient is nonnegative, upper facets otherwise,
     skipping facets through a clock already reset; a negative coefficient
     on a clock unbounded in the piece yields a -oo piece.
+
+    A step that starts from one piece gives pieces that are each the fiber
+    minimum on their whole closed domain, so containment alone deduplicates
+    them (:func:`_drop_contained`).  A point of the fiber on a lower facet
+    ``x = other + pivot`` satisfies every lower bound of x, so it is the
+    fiber's lowest point, which is the minimum when ``c_x >= 0``; upper
+    facets serve ``c_x < 0`` alike.  Such a step yields either one -oo piece
+    or only finite ones.  A step that starts from several pieces uses
+    :func:`_dedup`, since pieces of different parents can disagree where
+    their domains overlap.
     """
     if pz.zone.is_empty:
         raise EmptyZoneError("reset of an empty priced zone")
@@ -276,5 +334,5 @@ def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
                     continue
                 cost = piece.cost.substitute(x, other, pivot, drop=False)
                 nxt.append(PricedZone(piece_zone, cost))
-        pieces = _dedup(nxt)
+        pieces = _drop_contained(nxt) if len(pieces) == 1 else _dedup(nxt)
     return pieces

@@ -317,3 +317,17 @@ def test_closed_form_lps_need_no_flow_pass(monkeypatch, name):
     v = explore(a, Config())
     extract_witness(a, v.witness_state, F(1, 1000))
     assert lps and passes == []
+
+
+def test_one_parent_pieces_need_no_cost_comparison(monkeypatch):
+    # on als_small every deduplication of successor pieces and facet pieces
+    # has one parent, so zone containment decides it and no piece's cost is
+    # compared with another's
+    compared = []
+    dominates = priced._dominates
+    monkeypatch.setattr(
+        priced, "_dominates", lambda q, p: compared.append((q, p)) or dominates(q, p)
+    )
+    v = explore(load_automaton("als_small"), Config())
+    assert v.terminated and v.cost == 2
+    assert compared == []

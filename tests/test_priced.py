@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from grid_oracles import fiber_min, random_cost, random_point, random_zone
-from zonecost import priced
+from zonecost import inclusion, priced
 from zonecost.dbm import INF, NEG_INF, Zone, bound_value
+from zonecost.inclusion import LowerBoundViolation, clock_preorder, facet_reduce, restrict_y
 from zonecost.priced import (
     AffineCost,
     PricedZone,
@@ -66,7 +68,9 @@ def test_is_lower_bounded():
 
 def test_constrain():
     pz = fig4_priced(3)
-    assert constrain(pz, []) == pz
+    assert constrain(pz, []) is pz
+    # the zone already implies y >= 1 and x - y <= 0
+    assert constrain(pz, [(None, "y", -1, False), ("x", "y", 0, False)]) is pz
     origin = PricedZone.initial(XY)
     assert constrain(origin, [(None, "x", -1, False)]) is None
     cell = constrain(pz, [("x", None, 2, False), ("y", None, 3, False)])
@@ -172,11 +176,11 @@ def test_delay_pivots_on_clock_bounds_not_facets(monkeypatch):
 
 def test_delay_fixed_clock_drops_the_zone_piece(monkeypatch):
     # x = 2 in Z, so the piece of x's upper bound covers Z exactly and Z is
-    # not even a candidate piece for the dominance pass
+    # not even a candidate piece for the containment pass
     compared = []
-    dominates = priced._dominates
+    subset = Zone.subset
     monkeypatch.setattr(
-        priced, "_dominates", lambda q, p: compared.extend((q, p)) or dominates(q, p)
+        Zone, "subset", lambda a, b: compared.extend((a, b)) or subset(a, b)
     )
     zone = Zone.from_constraints(
         XY, [("x", None, 2, False), (None, "x", -2, False), ("y", None, 3, False)]
@@ -184,7 +188,7 @@ def test_delay_fixed_clock_drops_the_zone_piece(monkeypatch):
     pz = PricedZone(zone, AffineCost.of(XY, {"x": 1, "y": 1}, 1))
     pieces = _check_delay_pieces(random.Random(11), pz, 5, 30)  # rate 5 > slope 2
     assert compared
-    assert pz not in pieces and pz not in compared
+    assert pz not in pieces and zone not in compared
 
 
 def test_delay_mincost_monotone_for_nonnegative_rates():
@@ -231,18 +235,30 @@ def test_reset_unbounded_negative_gives_bottom():
 
 
 def test_reset_skips_facets_through_a_clock_reset_earlier(monkeypatch):
-    # x is reset first, so y's lower facet y - x = 0 repeats y = 0; only the
-    # two lower facets of x (x = 1 and x - y = -1) are left for the dedup LP
-    lps = []
-    sup = priced.sup_affine
-    monkeypatch.setattr(priced, "sup_affine", lambda *a: lps.append(a) or sup(*a))
+    # x is reset first, so y's lower facet y - x = 0 repeats y = 0: it is
+    # offered but never substituted, while both lower facets of x are
+    offered, used = [], []
+    facets, substitute = Zone.facets, AffineCost.substitute
+
+    def recording_facets(zone, axis, kind):
+        found = facets(zone, axis, kind)
+        offered.extend((axis, f.pivot) for f in found)
+        return found
+
+    def recording_substitute(cost, clock, other, value, drop):
+        used.append((clock, (other, value)))
+        return substitute(cost, clock, other, value, drop)
+
+    monkeypatch.setattr(Zone, "facets", recording_facets)
+    monkeypatch.setattr(AffineCost, "substitute", recording_substitute)
     zone = Zone.from_constraints(
         XY, [(None, "x", -1, False), ("x", None, 3, False), ("y", None, 2, False)]
     )
     pz = PricedZone(zone, AffineCost.of(XY, {"x": 1, "y": 1}))
     pieces = reset_successors(pz, ["x", "y"])
     assert pieces == [PricedZone(Zone.origin(XY), AffineCost.of(XY, {}, 1))]
-    assert len(lps) == 1
+    assert ("y", ("x", 0)) in offered
+    assert used == [("x", (None, 1)), ("x", ("y", -1)), ("y", (None, 0))]
 
 
 def test_reset_pieces_realize_fiber_minimum():
@@ -272,6 +288,73 @@ def test_reset_pieces_realize_fiber_minimum():
                 assert want == NEG_INF
             else:
                 assert vals and min(vals) == want
+
+
+def _one_parent_zone(rng: random.Random, clocks: tuple[str, ...]) -> Zone:
+    """A random zone, often with a zero-cycle class (x - y fixed) or a fixed clock."""
+    while True:
+        extra = []
+        if len(clocks) > 1 and rng.random() < 0.3:
+            a, b = rng.sample(clocks, 2)
+            k = rng.randint(-2, 2)
+            extra += [(a, b, k, False), (b, a, -k, False)]
+        if rng.random() < 0.3:
+            c, v = rng.choice(clocks), rng.randint(0, 3)
+            extra += [(c, None, v, False), (None, c, -v, False)]
+        zone = random_zone(rng, clocks, 4).intersect(extra)
+        if not zone.is_empty:
+            return zone
+
+
+def _outcome(call):
+    f, *args = call
+    try:
+        return f(*args)
+    except LowerBoundViolation:
+        return LowerBoundViolation
+
+
+def test_one_parent_steps_match_the_cost_comparing_pass(monkeypatch):
+    # delay and every reset or facet-reduction step that starts from one
+    # piece deduplicate by containment alone; with the cost-comparing _dedup
+    # in its place every call returns the same pieces in the same order
+    rng = random.Random(20261019)
+    calls = []
+    for k in range(160):
+        clocks = ("w", "x", "y", "z")[: 1 + k % 4]
+        zone = _one_parent_zone(rng, clocks)
+        cost = AffineCost.bottom(clocks) if k % 8 == 7 else random_cost(rng, clocks)
+        pz = PricedZone(zone, cost)
+        calls += [(delay_successors, pz, rate) for rate in range(-4, 5)]
+        for _ in range(2):
+            resets = rng.sample(clocks, rng.randint(1, min(3, len(clocks))))
+            calls.append((reset_successors, pz, resets))
+        m = {c: rng.randint(0, 4) for c in clocks}
+        for y in clock_preorder(zone, m).downward_closed_sets():
+            cell = restrict_y(zone, y, m)
+            if not cell.is_empty:
+                calls.append((facet_reduce, PricedZone(cell, cost), y))
+    # the pieces each step drops by containment, where _dedup compares costs
+    dropped = Counter()
+    current = []
+    drop = priced._drop_contained
+
+    def counting_drop(pieces):
+        kept = drop(pieces)
+        dropped[current[-1]] += len(pieces) - len(kept)
+        return kept
+
+    monkeypatch.setattr(priced, "_drop_contained", counting_drop)
+    monkeypatch.setattr(inclusion, "_drop_contained", counting_drop)
+    got = []
+    for call in calls:
+        current.append(call[0])
+        got.append(_outcome(call))
+    monkeypatch.setattr(priced, "_drop_contained", priced._dedup)
+    monkeypatch.setattr(inclusion, "_drop_contained", priced._dedup)
+    assert [_outcome(call) for call in calls] == got
+    assert min(dropped[f] for f in (delay_successors, reset_successors, facet_reduce)) >= 100, (
+        dropped)
 
 
 def test_delay_empty_zone_raises():
