@@ -16,7 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .dbm import NEG_INF, POS_INF
-from .explorer import Config, ConfigError, Verdict, explore, extract_witness
+from .explorer import STRATEGIES, Config, ConfigError, Verdict, explore, extract_witness
 from .model import ModelError, compose, evaluate_run, parse_model
 from .oracle import OracleCapExceeded, corner_point_cost
 
@@ -41,7 +41,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("model", type=Path, help="model file (textual .wta format)")
     p.add_argument("--inclusion", choices=["abstract", "simple"], default="abstract")
-    p.add_argument("--strategy", choices=["bfs", "dfs", "sbfs"], default="sbfs")
+    p.add_argument("--strategy", choices=STRATEGIES, default=Config.strategy,
+                   help="Waiting order: best pops the least mincost first (default: %(default)s)")
     p.add_argument(
         "--prune",
         action=argparse.BooleanOptionalAction,

@@ -3,13 +3,20 @@
 The loop keeps the classical Waiting/Passed pair: a popped symbolic state
 updates the best goal cost, is dropped when subsumed by a stored state of the
 same location, and otherwise joins Passed (kept as a per-location antichain)
-while its successors join Waiting.  Strategies differ only in the pop order;
-SBFS additionally replaces subsumed Waiting entries by the subsumer's
-successors at their queue positions.
+while its successors join Waiting.  Strategies differ only in the pop order.
+``best`` (the default) pops the state of least ``mincost`` first, ties in
+insertion order: the minimal cost order of Behrmann et al. (HSCC 2001).  With
+nonnegative weights no successor is cheaper than its parent, so when pruning
+is on the loop stops at the first popped state that cannot beat the best
+cost.  ``bfs`` and ``dfs`` pop in queue and stack order; SBFS is BFS that
+also replaces subsumed Waiting entries by the subsumer's successors at their
+queue positions.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -31,6 +38,7 @@ from .priced import (
 )
 
 DEFAULT_NEGATIVE_WEIGHT_CAP = 1_000_000
+STRATEGIES = ("best", "bfs", "dfs", "sbfs")
 
 
 class ConfigError(ValueError):
@@ -44,7 +52,7 @@ class WitnessError(RuntimeError):
 @dataclass(frozen=True)
 class Config:
     inclusion: str = "abstract"  # "abstract" | "simple"
-    strategy: str = "sbfs"  # "bfs" | "dfs" | "sbfs"
+    strategy: str = "best"  # one of STRATEGIES
     pruning: bool = False
     hint: Fraction | None = None
     uniform_m: bool = False
@@ -119,7 +127,7 @@ def explore(
     on_progress: Callable[[int, Fraction | float], None] | None = None,
 ) -> Verdict:
     """Optimal cost of reaching a goal location (Algorithm 1 style loop)."""
-    if cfg.strategy not in ("bfs", "dfs", "sbfs"):
+    if cfg.strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy '{cfg.strategy}'")
     if cfg.inclusion not in ("abstract", "simple"):
         raise ConfigError(f"unknown inclusion '{cfg.inclusion}'")
@@ -162,7 +170,22 @@ def explore(
     cost: int | Fraction | float = POS_INF
     best: SymbolicState | None = None
     passed: dict[str, list[SymbolicState]] = {}
-    waiting: list[SymbolicState] = interned(_initial_states(a))
+    n_passed = 0
+    # "best" keeps a heap of (mincost, insertion number, state): the key is
+    # computed once, at the push, and the number pops ties in insertion order
+    # and keeps the states out of the comparison; the others keep a list
+    best_first = cfg.strategy == "best"
+    order = itertools.count()
+    waiting: list = []
+
+    def push(states: list[SymbolicState]) -> None:
+        if not best_first:
+            waiting.extend(states)
+            return
+        for st in states:
+            heapq.heappush(waiting, (mincost(st.pz), next(order), st))
+
+    push(interned(_initial_states(a)))
     stats.added_to_waiting = len(waiting)
     stats.max_stored = len(waiting)
     prune_enabled = cfg.pruning or cfg.hint is not None
@@ -185,11 +208,14 @@ def explore(
         if cfg.time_cap is not None and time.perf_counter() - start > cfg.time_cap:
             terminated = False
             break
-        s = waiting.pop() if cfg.strategy == "dfs" else waiting.pop(0)
+        if best_first:
+            mc, _, s = heapq.heappop(waiting)
+        else:
+            s = waiting.pop() if cfg.strategy == "dfs" else waiting.pop(0)
+            mc = mincost(s.pz)
         pops += 1
         if on_progress is not None:
             on_progress(pops, cost)
-        mc = mincost(s.pz)
         if s.location in goals and mc < cost:
             cost = mc
             best = s
@@ -199,12 +225,16 @@ def explore(
             # a hint is only an upper bound, so it prunes strictly; an achieved
             # cost cannot be improved by states at or above it
             if mc >= cost or (cfg.hint is not None and mc > cfg.hint):
+                if best_first:
+                    break  # pruning implies nonnegative weights: no later state is cheaper
                 continue
         store = passed.setdefault(s.location, [])
         if any(test(s.pz, p.pz) for p in store):
             continue
+        before = len(store)
         store[:] = [p for p in store if not test(p.pz, s.pz)]
         store.append(s)
+        n_passed += len(store) - before
         stats.added_to_passed += 1
         insert_at = None
         if cfg.strategy == "sbfs":
@@ -221,8 +251,8 @@ def explore(
         if insert_at is not None:
             waiting[insert_at:insert_at] = successors
         else:
-            waiting.extend(successors)
-        stored = len(waiting) + sum(len(v) for v in passed.values())
+            push(successors)
+        stored = len(waiting) + n_passed
         if stored > stats.max_stored:
             stats.max_stored = stored
 

@@ -16,7 +16,7 @@ import pytest
 from conftest import load_automaton
 from grid_oracles import brute_includes, random_priced_zone, random_zone, weaken
 from zonecost.dbm import NEG_INF, POS_INF, Zone
-from zonecost.explorer import Config, explore, extract_witness
+from zonecost.explorer import STRATEGIES, Config, explore, extract_witness
 from zonecost.inclusion import (
     clock_preorder,
     includes,
@@ -101,7 +101,7 @@ def test_c03_unbounded_clock_termination(corpus):
     v1 = explore(a1, Config(inclusion="abstract", strategy="sbfs"))
     assert v1.terminated
     assert v1.cost == corner_point_cost(a1) == 11  # optimal time 10 plus weight 1
-    capped = explore(a, Config(inclusion="simple", iteration_cap=5_000))
+    capped = explore(a, Config(inclusion="simple", strategy="sbfs", iteration_cap=5_000))
     assert not capped.terminated
     _report(3, "unbounded clocks: abstract terminates (1, 11), simple exceeds 5000")
 
@@ -269,11 +269,11 @@ def test_c09_uniform_bound_underapproximation(random_pairs, random_model_results
 def test_c10_best_time_regression(corpus):
     a = corpus["fig7"]
     for inclusion in ("abstract", "simple"):
-        for strategy in ("bfs", "dfs", "sbfs"):
+        for strategy in STRATEGIES:
             v = explore(a, Config(inclusion=inclusion, strategy=strategy))
             assert v.terminated
             assert v.cost == 1, (inclusion, strategy)
-    _report(10, "one-clock best-time regression: cost exactly 1 in all 6 modes")
+    _report(10, "one-clock best-time regression: cost exactly 1 in all 8 modes")
 
 
 # -- 11 -----------------------------------------------------------------------
@@ -282,18 +282,21 @@ def test_c10_best_time_regression(corpus):
 def test_c11_pruning_neutrality(random_model_results, corpus):
     results, _ = random_model_results
     for a, verdict, _ in results:
-        pruned = explore(a, Config(strategy="bfs", pruning=True))
-        assert pruned.cost == verdict.cost
-        if verdict.cost != POS_INF:
-            hinted = explore(a, Config(strategy="bfs", hint=verdict.cost))
-            assert hinted.cost == verdict.cost
-            loose = explore(a, Config(strategy="bfs", hint=verdict.cost + 3))
-            assert loose.cost == verdict.cost
+        # "best" stops at the first state that cannot beat the cost or hint
+        for strategy in ("bfs", "best"):
+            pruned = explore(a, Config(strategy=strategy, pruning=True))
+            assert pruned.cost == verdict.cost
+            if verdict.cost != POS_INF:
+                hinted = explore(a, Config(strategy=strategy, hint=verdict.cost))
+                assert hinted.cost == verdict.cost
+                loose = explore(a, Config(strategy=strategy, hint=verdict.cost + 3))
+                assert loose.cost == verdict.cost
     for name in ["fig2left", "ets_small", "als_small"]:
         a = corpus[name]
         base = explore(a, Config(strategy="bfs", pruning=False))
-        assert explore(a, Config(strategy="bfs", pruning=True)).cost == base.cost
-        assert explore(a, Config(strategy="bfs", hint=base.cost)).cost == base.cost
+        for strategy in ("bfs", "best"):
+            assert explore(a, Config(strategy=strategy, pruning=True)).cost == base.cost
+            assert explore(a, Config(strategy=strategy, hint=base.cost)).cost == base.cost
     _report(11, "pruning and valid hints never change the cost")
 
 
@@ -313,9 +316,10 @@ def test_c12_witness_validity(random_model_results, corpus):
     for name in ["fig2left", "fig2right", "fig2right_rate1", "fig7", "ets_small",
                  "als_small", "als_hold"]:
         a = corpus[name]
-        v = explore(a, Config(strategy="sbfs"))
-        run = extract_witness(a, v.witness_state, eps)
-        assert evaluate_run(a, run) <= v.cost + eps
-        checked += 1
+        for strategy in STRATEGIES:
+            v = explore(a, Config(strategy=strategy))
+            run = extract_witness(a, v.witness_state, eps)
+            assert evaluate_run(a, run) <= v.cost + eps
+            checked += 1
     assert checked > 0
     _report(12, f"{checked} extracted runs within 1/1000 of the reported cost")

@@ -168,6 +168,7 @@ def test_progress_lines(capsys):
 
 GOLDEN_CONFIGS = [
     ["--witness", "1/1000"],
+    ["--strategy", "sbfs", "--witness", "1/1000"],
     ["--strategy", "bfs", "--no-prune"],
     ["--strategy", "dfs"],
     ["--inclusion", "simple", "--cap", "300"],
