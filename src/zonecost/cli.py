@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .dbm import NEG_INF, POS_INF
 from .explorer import STRATEGIES, Config, ConfigError, Verdict, explore, extract_witness
-from .model import ModelError, compose, evaluate_run, parse_model
+from .model import ModelError, compose, edge_from, evaluate_run, parse_model
 from .oracle import OracleCapExceeded, corner_point_cost
 
 
@@ -132,13 +132,17 @@ def main(argv=None) -> int:
     if args.witness is not None:
         if verdict.witness_state is not None and verdict.cost not in (POS_INF, NEG_INF):
             run = extract_witness(automaton, verdict.witness_state, args.witness)
+            # evaluate_run first: it checks that each edge leaves its step's location
+            cost = evaluate_run(automaton, run)
+            edges, location = [], automaton.initial
+            for _, i in run.steps:
+                e = edge_from(automaton, location, i)
+                edges.append(f"{e.source}->{e.target}#{i}")
+                location = e.target
             report["witness"] = {
                 "delays": [str(d) for d, _ in run.steps] + [str(run.trailing_delay)],
-                "edges": [
-                    f"{automaton.edges[i].source}->{automaton.edges[i].target}#{i}"
-                    for _, i in run.steps
-                ],
-                "cost": str(evaluate_run(automaton, run)),
+                "edges": edges,
+                "cost": str(cost),
             }
         else:
             report["witness"] = None

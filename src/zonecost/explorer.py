@@ -26,7 +26,7 @@ from typing import Callable
 
 from .dbm import INF, NEG_INF, POS_INF, Zone, bound_is_strict, bound_value, inf_affine
 from .inclusion import includes, simple_includes, uniform_bounds
-from .model import Automaton, Location, Run, guard_constraints, max_constants
+from .model import Automaton, Location, Product, Run, edge_from, guard_constraints
 from .priced import (
     AffineCost,
     PricedZone,
@@ -103,7 +103,7 @@ def _arrive(loc: Location, pz: PricedZone, parent: SymbolicState | None = None,
     return out
 
 
-def symbolic_post(a: Automaton, s: SymbolicState) -> list[SymbolicState]:
+def symbolic_post(a: Automaton | Product, s: SymbolicState) -> list[SymbolicState]:
     """Successors along every outgoing edge: guard, reset, weight, then arrival."""
     out: list[SymbolicState] = []
     for idx, edge in a.leaving(s.location):
@@ -116,12 +116,12 @@ def symbolic_post(a: Automaton, s: SymbolicState) -> list[SymbolicState]:
     return out
 
 
-def _initial_states(a: Automaton) -> list[SymbolicState]:
+def _initial_states(a: Automaton | Product) -> list[SymbolicState]:
     return _arrive(a.location(a.initial), PricedZone.initial(a.clocks))
 
 
 def explore(
-    a: Automaton,
+    a: Automaton | Product,
     cfg: Config = Config(),
     observer: Callable[[PricedZone, PricedZone, bool], None] | None = None,
     on_progress: Callable[[int, Fraction | float], None] | None = None,
@@ -145,7 +145,7 @@ def explore(
         )
         cap = DEFAULT_NEGATIVE_WEIGHT_CAP
 
-    m = max_constants(a)
+    m = a.max_constants()
     if cfg.uniform_m:
         m = uniform_bounds(m)
     if cfg.inclusion == "abstract":
@@ -166,7 +166,6 @@ def explore(
 
     stats = Stats()
     start = time.perf_counter()
-    goals = a.goal_locations
     cost: int | Fraction | float = POS_INF
     best: SymbolicState | None = None
     passed: dict[str, list[SymbolicState]] = {}
@@ -216,7 +215,7 @@ def explore(
         pops += 1
         if on_progress is not None:
             on_progress(pops, cost)
-        if s.location in goals and mc < cost:
+        if a.location(s.location).goal and mc < cost:
             cost = mc
             best = s
             if cost == NEG_INF:
@@ -348,7 +347,7 @@ def _fiber_point(parent_zone: Zone, cost: AffineCost, fixed: dict[str, int | Fra
     return w if d == 1 else {c: Fraction(w[c], d) for c in fiber.clocks}
 
 
-def extract_witness(a: Automaton, state: SymbolicState, eps: Fraction) -> Run:
+def extract_witness(a: Automaton | Product, state: SymbolicState, eps: Fraction) -> Run:
     """A concrete run reaching the state's location within eps of its mincost.
 
     Delays are chosen backward along the recorded parent path by exact fiber
@@ -380,7 +379,9 @@ def extract_witness(a: Automaton, state: SymbolicState, eps: Fraction) -> Run:
             if any(x != 0 for x in u.values()):
                 raise WitnessError("root must rewind to the origin")
             break
-        edge = a.edges[s.edge_index]
+        edge = edge_from(a, s.parent.location, s.edge_index)
+        if edge is None:
+            raise WitnessError("a state's edge must leave its parent's location")
         guarded = s.parent.pz.zone.intersect(guard_constraints(edge.guard))
         fixed = {c: u[c] for c in a.clocks if c not in edge.resets}
         v = _fiber_point(guarded, s.parent.pz.cost, fixed, budget)

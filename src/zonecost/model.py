@@ -8,13 +8,15 @@ The textual format is line oriented ('#' starts a comment):
       edge SRC -> DST [guard GUARD] [reset x,y] [weight INT] [sync chan! | chan?];
 
 with GUARD ::= atom (&& atom)* and atom ::= clock (< | <= | = | >= | >) NAT.
-Networks synchronize through binary channel handshakes and are flattened into
-a single automaton before exploration.
+Networks synchronize through binary channel handshakes.  ``compose`` returns
+their synchronous product as a view that composes a product location, and
+the moves leaving it, only when an exploration asks for them.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -140,10 +142,25 @@ class Automaton:
         """The (index, edge) pairs whose source is ``name``, in index order."""
         return self._out_edges.get(name, ())
 
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
     def min_weight(self) -> int:
         rates = [l.rate for l in self.locations]
         weights = [e.weight for e in self.edges]
         return min(rates + weights, default=0)
+
+    @cached_property
+    def _max_constants(self) -> dict[str, int | None]:
+        return _largest_constants(
+            self.clocks,
+            [l.invariant for l in self.locations] + [e.guard for e in self.edges],
+        )
+
+    def max_constants(self) -> dict[str, int | None]:
+        """Largest constant each clock is compared against; None when never compared."""
+        return dict(self._max_constants)
 
 
 @dataclass(frozen=True)
@@ -366,40 +383,146 @@ def serialize_model(network: Network) -> str:
 
 # -- composition ----------------------------------------------------------------
 
+# The moves of a product location (l_1, ..., l_k) number
+#     deg = sum_i internal_i(l_i) + sum_c sum_{i != j} send_i(l_i, c) * recv_j(l_j, c)
+#         = sum_i d_i(l_i) + sum_c S_c * R_c,
+# with d_i = internal_i - sum_c send_i * recv_i, S_c = sum_i send_i(l_i, c) and
+# R_c = sum_i recv_i(l_i, c).  So the moves from a set of location vectors add
+# up from its moments (count, sum of d, sum of S_c, sum of R_c, sum of S_c*R_c),
+# and the moments of a Cartesian product of two sets follow from theirs.
 
-def compose(network: Network) -> Automaton:
-    """Flatten a network into its synchronous product automaton.
 
-    Location tuples carry summed rates and conjoined invariants; internal
-    edges interleave; each !-edge pairs with every matching ?-edge of another
-    component (weights added).  A product location is a goal when every
-    component that declares goal locations sits on one.
+def _union(m1, m2):
+    """Moments of the disjoint union of two sets of location vectors."""
+    return (m1[0] + m2[0], m1[1] + m2[1], tuple(map(operator.add, m1[2], m2[2])),
+            tuple(map(operator.add, m1[3], m2[3])), tuple(map(operator.add, m1[4], m2[4])))
+
+
+def _join(m1, m2):
+    """Moments of every vector of one set followed by every vector of another."""
+    n1, d1, s1, r1, q1 = m1
+    n2, d2, s2, r2, q2 = m2
+    return (
+        n1 * n2,
+        d1 * n2 + n1 * d2,
+        tuple(a * n2 + n1 * b for a, b in zip(s1, s2)),
+        tuple(a * n2 + n1 * b for a, b in zip(r1, r2)),
+        tuple(qa * n2 + sa * rb + ra * sb + n1 * qb
+              for qa, sa, ra, qb, sb, rb in zip(q1, s1, r1, q2, s2, r2)),
+    )
+
+
+def _moves_of(m) -> int:
+    """The number of moves leaving the location vectors with moments ``m``."""
+    return m[1] + sum(m[4])
+
+
+class Product:
+    """The synchronous product of a network, composed one location at a time.
+
+    A product location is a vector of component locations, named by joining
+    their names with ','.  It carries the summed rates and the conjoined
+    invariants; it is a goal when every component that declares goal
+    locations sits on one.  Its moves are each component's internal edges,
+    and each !-edge paired with every matching ?-edge of another component
+    (guards conjoined, resets merged, weights added).  Every question an
+    exploration asks is answered from the components and memoised here, so
+    only the locations a search reaches are composed.
+
+    Edge indices are those of the product listed in full: location vectors in
+    ``itertools.product`` order (the last component varies fastest), and from
+    each, component by component, its edges in declaration order, each
+    !-edge followed by its ?-partners (partner components in order).  The
+    moments above give the number of moves before a vector without listing
+    them.  ``locations``, ``edges`` and ``goal_locations`` list the whole
+    product; they are built on first access.
     """
-    if len(network.automata) == 1 and not network.channels:
-        return network.automata[0]
-    comps = network.automata
-    designated = [i for i, a in enumerate(comps) if a.goal_locations]
-    locations = []
-    edges = []
-    for combo in itertools.product(*[a.locations for a in comps]):
-        names = [l.name for l in combo]
-        src = ",".join(names)
-        locations.append(
-            Location(
-                name=src,
+
+    def __init__(self, network: Network):
+        comps = network.automata
+        self.network = network
+        self.clocks = network.clocks
+        self.initial = ",".join(a.initial for a in comps)
+        self._index = [{l.name: x for x, l in enumerate(a.locations)} for a in comps]
+        self._designated = [i for i, a in enumerate(comps) if a.goal_locations]
+        self._location_memo: dict[str, Location] = {}
+        self._moves: dict[str, tuple[tuple[int, Edge], ...]] = {}
+        channel = {c: k for k, c in enumerate(sorted(network.channels))}
+        zero = (0,) * len(channel)
+        self._unit = (1, 0, zero, zero, zero)
+        # _single[p][x]: the moments of location x of component p on its own;
+        # _tail[p][x]: of the vectors over components p, p+1, ... whose first
+        # entry is one of component p's locations numbered below x
+        self._single = []
+        for a in comps:
+            row = []
+            for l in a.locations:
+                internal, send, recv = 0, [0] * len(channel), [0] * len(channel)
+                for _, e in a.leaving(l.name):
+                    if e.sync is None:
+                        internal += 1
+                    else:
+                        (send if e.sync[1] == "!" else recv)[channel[e.sync[0]]] += 1
+                pairs = tuple(map(operator.mul, send, recv))
+                row.append((1, internal - sum(pairs), tuple(send), tuple(recv), pairs))
+            self._single.append(row)
+        self._tail = []
+        later = self._unit
+        for row in reversed(self._single):
+            below = [(0, 0, zero, zero, zero)]
+            for m in row:
+                below.append(_union(below[-1], m))
+            self._tail.append([_join(m, later) for m in below])
+            later = self._tail[-1][-1]
+        self._tail.reverse()
+        self.edge_count = _moves_of(later)
+
+    def _split(self, name: str) -> list[str]:
+        parts = name.split(",")
+        if len(parts) != len(self._index):
+            raise KeyError(name)
+        return parts
+
+    def location(self, name: str) -> Location:
+        loc = self._location_memo.get(name)
+        if loc is None:
+            combo = [a.location(part) for a, part in
+                     zip(self.network.automata, self._split(name))]
+            loc = self._location_memo[name] = Location(
+                name=name,
                 rate=sum(l.rate for l in combo),
                 invariant=tuple(at for l in combo for at in l.invariant),
-                goal=bool(designated)
-                and all(combo[i].goal for i in designated),
+                goal=bool(self._designated)
+                and all(combo[i].goal for i in self._designated),
                 initial=all(l.initial for l in combo),
             )
-        )
+        return loc
+
+    def leaving(self, name: str) -> tuple[tuple[int, Edge], ...]:
+        """The (index, move) pairs whose source is ``name``, in index order."""
+        moves = self._moves.get(name)
+        if moves is None:
+            names = self._split(name)
+            # the vectors listed before this one: for each p, those that agree
+            # with it before p and sit at a location numbered lower at p
+            first, before = 0, self._unit
+            for p, part in enumerate(names):
+                x = self._index[p][part]
+                first += _moves_of(_join(before, self._tail[p][x]))
+                before = _join(before, self._single[p][x])
+            moves = self._moves[name] = tuple(enumerate(self._moves_from(names), first))
+        return moves
+
+    def _moves_from(self, names: list[str]) -> Iterable[Edge]:
+        """The moves leaving the location vector ``names``, in index order."""
+        src = ",".join(names)
+        comps = self.network.automata
         for i, a in enumerate(comps):
             for _, e in a.leaving(names[i]):
                 if e.sync is None:
                     dst = names.copy()
                     dst[i] = e.target
-                    edges.append(Edge(src, ",".join(dst), e.guard, e.resets, e.weight))
+                    yield Edge(src, ",".join(dst), e.guard, e.resets, e.weight)
                 elif e.sync[1] == "!":
                     for j, b in enumerate(comps):
                         if j == i:
@@ -410,44 +533,111 @@ def compose(network: Network) -> Automaton:
                             dst = names.copy()
                             dst[i] = e.target
                             dst[j] = f.target
-                            edges.append(
-                                Edge(
-                                    src,
-                                    ",".join(dst),
-                                    e.guard + f.guard,
-                                    tuple(dict.fromkeys(e.resets + f.resets)),
-                                    e.weight + f.weight,
-                                )
+                            yield Edge(
+                                src,
+                                ",".join(dst),
+                                e.guard + f.guard,
+                                tuple(dict.fromkeys(e.resets + f.resets)),
+                                e.weight + f.weight,
                             )
-    return Automaton(
-        name=",".join(a.name for a in comps),
-        clocks=network.clocks,
-        locations=tuple(locations),
-        edges=tuple(edges),
-    )
+
+    def _paired(self) -> Iterable[tuple[int, Edge]]:
+        """Every (component, edge) whose edge takes part in some product edge."""
+        comps = self.network.automata
+        polarities: dict[str, set[tuple[int, str]]] = {}
+        for i, a in enumerate(comps):
+            for e in a.edges:
+                if e.sync is not None:
+                    polarities.setdefault(e.sync[0], set()).add((i, e.sync[1]))
+        for i, a in enumerate(comps):
+            for e in a.edges:
+                if e.sync is None or any(
+                    j != i and pol != e.sync[1] for j, pol in polarities[e.sync[0]]
+                ):
+                    yield i, e
+
+    @cached_property
+    def _min_weight(self) -> int:
+        cheapest: dict[tuple[int, str, str], int] = {}
+        weights = []
+        for i, e in self._paired():
+            if e.sync is None:
+                weights.append(e.weight)
+            else:
+                key = (i, *e.sync)
+                cheapest[key] = min(cheapest.get(key, e.weight), e.weight)
+        weights += [
+            w + v
+            for (i, c, pol), w in cheapest.items() if pol == "!"
+            for (j, d, qol), v in cheapest.items() if qol == "?" and d == c and j != i
+        ]
+        rate = sum(min(l.rate for l in a.locations) for a in self.network.automata)
+        return min([rate] + weights)
+
+    def min_weight(self) -> int:
+        """Least rate or weight over the whole product, reachable or not."""
+        return self._min_weight
+
+    @cached_property
+    def _max_constants(self) -> dict[str, int | None]:
+        return _largest_constants(
+            self.clocks,
+            [l.invariant for a in self.network.automata for l in a.locations]
+            + [e.guard for _, e in self._paired()],
+        )
+
+    def max_constants(self) -> dict[str, int | None]:
+        """Largest constant each clock is compared against; None when never compared."""
+        return dict(self._max_constants)
+
+    def _vectors(self) -> Iterable[list[str]]:
+        """Every location vector, in index order."""
+        for combo in itertools.product(*[a.locations for a in self.network.automata]):
+            yield [l.name for l in combo]
+
+    @cached_property
+    def locations(self) -> tuple[Location, ...]:
+        return tuple(self.location(",".join(names)) for names in self._vectors())
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        return tuple(e for names in self._vectors() for e in self._moves_from(names))
+
+    @cached_property
+    def goal_locations(self) -> frozenset[str]:
+        return frozenset(l.name for l in self.locations if l.goal)
+
+
+def compose(network: Network) -> Automaton | Product:
+    """The network's synchronous product, as a :class:`Product` view.
+
+    A single automaton without channels is its own product and is returned
+    as it is.
+    """
+    if len(network.automata) == 1 and not network.channels:
+        return network.automata[0]
+    return Product(network)
 
 
 # -- maximal constants and run evaluation -----------------------------------------
 
 
-def max_constants(a: Automaton) -> dict[str, int | None]:
-    """Largest constant each clock is compared against; None when never compared."""
-    m: dict[str, int | None] = {c: None for c in a.clocks}
-
-    def scan(guard: Guard):
+def _largest_constants(clocks: Iterable[str], guards: Iterable[Guard]) -> dict[str, int | None]:
+    m: dict[str, int | None] = {c: None for c in clocks}
+    for guard in guards:
         for atom in guard:
             cur = m[atom.clock]
             if cur is None or atom.const > cur:
                 m[atom.clock] = atom.const
-
-    for l in a.locations:
-        scan(l.invariant)
-    for e in a.edges:
-        scan(e.guard)
     return m
 
 
-def evaluate_run(a: Automaton, run: Run) -> Fraction:
+def edge_from(a: Automaton | Product, source: str, index: int) -> Edge | None:
+    """The edge numbered ``index`` among those leaving ``source``, if it is one."""
+    return next((e for i, e in a.leaving(source) if i == index), None)
+
+
+def evaluate_run(a: Automaton | Product, run: Run) -> Fraction:
     """Exact cost of a run, validating guards and invariants stepwise."""
     v = {c: Fraction(0) for c in a.clocks}
     loc = a.location(a.initial)
@@ -466,10 +656,10 @@ def evaluate_run(a: Automaton, run: Run) -> Fraction:
             v[c] += delay
         check_invariant(i)
         cost += delay * loc.rate
-        if edge_index not in range(len(a.edges)):
+        if edge_index not in range(a.edge_count):
             raise RunError(f"no edge {edge_index}", i)
-        edge = a.edges[edge_index]
-        if edge.source != loc.name:
+        edge = edge_from(a, loc.name, edge_index)
+        if edge is None:
             raise RunError(f"edge {edge_index} does not leave {loc.name}", i)
         for atom in edge.guard:
             if not atom.holds(v):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .dbm import NEG_INF, POS_INF
-from .model import Automaton, Guard, max_constants
+from .model import Automaton, Guard, Product
 
 ABOVE = ("above",)
 
@@ -187,15 +187,15 @@ class CornerGraph:
     index: dict[CornerState, int]
 
 
-def build_corner_point(a: Automaton, m: Mapping[str, int | None] | None = None,
+def build_corner_point(a: Automaton | Product, m: Mapping[str, int | None] | None = None,
                        cap: int = 10 ** 6, deadline: float | None = None) -> CornerGraph:
-    """The weighted corner-point graph of a flat automaton (lazy, reachable part).
+    """The weighted corner-point graph of an automaton or a product (lazy, reachable part).
 
     ``deadline`` is a ``time.perf_counter()`` value; past it, or beyond ``cap``
     corner states, the construction raises :class:`OracleCapExceeded`.
     """
     if m is None:
-        m = max_constants(a)
+        m = a.max_constants()
     nodes: list[CornerState] = []
     index: dict[CornerState, int] = {}
     edges: list[tuple[int, int, int]] = []
@@ -304,7 +304,8 @@ def optimal_cost_cp(graph: CornerGraph, goal_locations: frozenset[str],
     return Fraction(best) if best != POS_INF else POS_INF
 
 
-def corner_point_cost(a: Automaton, m: Mapping[str, int | None] | None = None,
+def corner_point_cost(a: Automaton | Product, m: Mapping[str, int | None] | None = None,
                       cap: int = 10 ** 6, deadline: float | None = None) -> Fraction | float:
     graph = build_corner_point(a, m, cap, deadline)
-    return optimal_cost_cp(graph, a.goal_locations, deadline)
+    reached = {node.location for node in graph.nodes}
+    return optimal_cost_cp(graph, frozenset(l for l in reached if a.location(l).goal), deadline)

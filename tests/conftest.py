@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -10,7 +12,8 @@ from zonecost.explorer import Config, explore
 from zonecost.model import compose, parse_model
 from zonecost.oracle import corner_point_cost
 
-MODELS = Path(__file__).resolve().parent.parent / "models"
+ROOT = Path(__file__).resolve().parent.parent
+MODELS = ROOT / "models"
 
 CORPUS_NAMES = [
     "fig2left",
@@ -31,6 +34,29 @@ def load_model(name: str):
 
 def load_automaton(name: str):
     return compose(load_model(name))
+
+
+def _bench_workloads():
+    """The benchmark's model generators (``bench/workloads.py``)."""
+    module = sys.modules.get("workloads")
+    if module is None:
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["workloads"] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return module
+
+
+def landing_network_text(n: int) -> str:
+    """``n`` planes on one runway (n <= 7), in the shape of the benchmark's
+    ``landing`` models: its 4-plane profile, then planes at target offsets 6,
+    8 and 10 (early rate 1, late rate 2, late weight 0).  The optimum is 2.
+    The product has 2 * 4**n locations."""
+    w = _bench_workloads()
+    profile = w.LANDING_PROFILES[-1] + ((6, 1, 2, 0), (8, 1, 2, 0), (10, 1, 2, 0))
+    planes = tuple(w.Plane(1 + off, 2 + off, 3 + off, early, late, weight)
+                   for off, early, late, weight in profile[:n])
+    return w.landing_text(planes)
 
 
 @pytest.fixture(scope="session")

@@ -3,8 +3,9 @@
 Everything here avoids the library's facet/preorder machinery on purpose:
 linear programs are solved by exact Fourier-Motzkin elimination over
 rationals, inclusion is decided from integral points and fiber minimization,
-delay/reset costs are recomputed from first principles on sampled points, and
-vertices come from spanning trees of tight constraints.
+delay/reset costs are recomputed from first principles on sampled points,
+vertices come from spanning trees of tight constraints, and a network's
+product is listed location by location.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from zonecost.dbm import INF, NEG_INF, Zone, _close, bound_is_strict, bound_value
-from zonecost.model import Atom, Automaton, Edge, Location
+from zonecost.model import Atom, Automaton, Edge, Location, Network
 from zonecost.priced import AffineCost, PricedZone
 
 # Constraints are (coeffs: dict var -> Fraction, rhs: Fraction, strict: bool),
@@ -404,3 +405,108 @@ def random_automaton(rng: random.Random, *, max_clocks: int = 3, max_locations: 
         resets = tuple(c for c in clocks if rng.random() < 0.3)
         edges.append(Edge(src, dst, guard, resets, rng.randint(0, wmax)))
     return Automaton("rnd", clocks, tuple(locations), tuple(edges))
+
+
+def random_network(rng: random.Random, *, nonnegative: bool = False, cmax: int = 3,
+                   wmax: int = 3) -> Network:
+    """2-4 components of 1-3 locations, one clock each, on channels ``a`` and ``b``.
+
+    A channel may be sent and received within one component as well as
+    across components; every channel gets both polarities somewhere.  Rates
+    and weights are drawn from [-wmax, wmax], or from [0, wmax] when
+    ``nonnegative``.
+    """
+    low = 0 if nonnegative else -wmax
+    n = rng.randint(2, 4)
+    clocks = tuple(f"x{i}" for i in range(n))
+    comps = []
+    for i in range(n):
+        names = [f"p{i}_{k}" for k in range(rng.randint(1, 3))]
+        goals = set(rng.sample(names, rng.randint(0, 1)))
+        locations = []
+        for k, name in enumerate(names):
+            inv = ()
+            if rng.random() < 0.3:
+                inv = (Atom(clocks[i], "<=", rng.randint(1, cmax)),)
+            locations.append(Location(name, rng.randint(low, wmax), inv,
+                                      goal=name in goals, initial=k == 0))
+        edges = []
+        for _ in range(rng.randint(1, 4)):
+            sync = None
+            if rng.random() < 0.6:
+                sync = (rng.choice("ab"), rng.choice("!?"))
+            edges.append(Edge(
+                rng.choice(names), rng.choice(names),
+                _random_guard(rng, (clocks[i],), cmax, rng.randint(0, 1)),
+                (clocks[i],) if rng.random() < 0.4 else (),
+                rng.randint(low, wmax), sync,
+            ))
+        comps.append([f"c{i}", locations, edges])
+    polarities: dict[str, set[str]] = {}
+    for _, _, edges in comps:
+        for e in edges:
+            if e.sync is not None:
+                polarities.setdefault(e.sync[0], set()).add(e.sync[1])
+    for chan, pols in sorted(polarities.items()):
+        for pol in sorted({"!", "?"} - pols):
+            _, locations, edges = rng.choice(comps)
+            edges.append(Edge(rng.choice(locations).name, rng.choice(locations).name,
+                              weight=rng.randint(low, wmax), sync=(chan, pol)))
+    return Network(
+        tuple(Automaton(name, clocks, tuple(locations), tuple(edges))
+              for name, locations, edges in comps),
+        clocks,
+    )
+
+
+def eager_product(network: Network) -> Automaton:
+    """The network's whole product, location by location in ``itertools.product``
+    order: the reference for ``model.Product``."""
+    comps = network.automata
+    designated = [i for i, a in enumerate(comps) if a.goal_locations]
+    locations = []
+    edges = []
+    for combo in itertools.product(*[a.locations for a in comps]):
+        names = [l.name for l in combo]
+        src = ",".join(names)
+        locations.append(
+            Location(
+                name=src,
+                rate=sum(l.rate for l in combo),
+                invariant=tuple(at for l in combo for at in l.invariant),
+                goal=bool(designated)
+                and all(combo[i].goal for i in designated),
+                initial=all(l.initial for l in combo),
+            )
+        )
+        for i, a in enumerate(comps):
+            for _, e in a.leaving(names[i]):
+                if e.sync is None:
+                    dst = names.copy()
+                    dst[i] = e.target
+                    edges.append(Edge(src, ",".join(dst), e.guard, e.resets, e.weight))
+                elif e.sync[1] == "!":
+                    for j, b in enumerate(comps):
+                        if j == i:
+                            continue
+                        for _, f in b.leaving(names[j]):
+                            if f.sync != (e.sync[0], "?"):
+                                continue
+                            dst = names.copy()
+                            dst[i] = e.target
+                            dst[j] = f.target
+                            edges.append(
+                                Edge(
+                                    src,
+                                    ",".join(dst),
+                                    e.guard + f.guard,
+                                    tuple(dict.fromkeys(e.resets + f.resets)),
+                                    e.weight + f.weight,
+                                )
+                            )
+    return Automaton(
+        name=",".join(a.name for a in comps),
+        clocks=network.clocks,
+        locations=tuple(locations),
+        edges=tuple(edges),
+    )

@@ -24,7 +24,7 @@ from zonecost.inclusion import (
     simple_includes,
     uniform_bounds,
 )
-from zonecost.model import Run, evaluate_run, max_constants
+from zonecost.model import Run, evaluate_run
 from zonecost.oracle import corner_point_cost
 from zonecost.priced import AffineCost, PricedZone
 
@@ -156,7 +156,7 @@ def test_c06_dominance(corpus):
     ]
     for name in ["fig2right", "fig2left", "fig7", "ets_small", "als_small", "als_hold"]:
         a = corpus[name]
-        m = max_constants(a)
+        m = a.max_constants()
         for cfg in configs:
             pairs = []
             explore(a, cfg, observer=lambda x, y, r: pairs.append((x, y, r)))

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
+import json
 import warnings
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import MODELS, load_automaton
+from conftest import MODELS, landing_network_text, load_automaton
 from grid_oracles import fm_minimize, zone_constraints
-from zonecost import dbm, explorer, priced
+from zonecost import cli, dbm, explorer, priced
 from zonecost.dbm import NEG_INF, POS_INF, Zone, encode
 from zonecost.explorer import (
     STRATEGIES,
@@ -23,7 +24,7 @@ from zonecost.explorer import (
     _pick_point,
 )
 from zonecost.inclusion import includes
-from zonecost.model import evaluate_run, max_constants
+from zonecost.model import Product, compose, evaluate_run, parse_model
 from zonecost.priced import AffineCost, PricedZone
 
 
@@ -119,7 +120,10 @@ def test_unknown_strategy_is_rejected(corpus):
 
 
 def test_simple_inclusion_does_not_terminate_on_fig2right(corpus):
-    v = explore(corpus["fig2right"], Config(inclusion="simple", iteration_cap=2_000))
+    # SBFS: under the default minimum-cost order every stored state shares one
+    # location's Passed list, and the classical scan makes about 4 million tests
+    v = explore(corpus["fig2right"], Config(inclusion="simple", strategy="sbfs",
+                                            iteration_cap=2_000))
     assert not v.terminated
 
 
@@ -134,7 +138,7 @@ def test_stats_counters_consistent(corpus):
 def test_passed_is_antichain(corpus):
     for name in ["fig2right", "ets_small", "fig7"]:
         a = corpus[name]
-        m = max_constants(a)
+        m = a.max_constants()
         v = explore(a, Config(strategy="bfs", iteration_cap=20_000))
         for loc, states in v.passed.items():
             for i, s in enumerate(states):
@@ -185,8 +189,6 @@ def test_progress_hook_called(corpus):
 
 def test_witness_initial_goal():
     text = "clocks x;\nautomaton a\n location l rate 1 goal initial;\n edge l -> l guard x = 1 reset x;\n"
-    from zonecost.model import compose, parse_model
-
     a = compose(parse_model(text))
     v = explore(a, Config(strategy="bfs"))
     assert v.cost == 0
@@ -349,3 +351,42 @@ def test_one_parent_pieces_need_no_cost_comparison(monkeypatch):
     v = explore(load_automaton("als_small"), Config())
     assert v.terminated and v.cost == 2
     assert compared == []
+
+
+def _untouched(view: Product) -> bool:
+    """Moves composed for under 1% of the locations, and no full listing."""
+    n_locations = 1
+    for a in view.network.automata:
+        n_locations *= len(a.locations)
+    listed = {"locations", "edges", "goal_locations"} & set(vars(view))
+    return 100 * len(view._moves) < n_locations and not listed
+
+
+def test_six_planes_explored_without_listing_the_product(tmp_path, monkeypatch, capsys):
+    # 8,192 product locations and 40,960 product edges, of which a search
+    # reaches a few dozen locations
+    text = landing_network_text(6)
+    a = compose(parse_model(text))
+    assert a.edge_count == 40_960
+    v = explore(a, Config(pruning=True))
+    assert v.cost == 2 and v.terminated
+    eps = F(1, 1000)
+    run = extract_witness(a, v.witness_state, eps)
+    assert 2 <= evaluate_run(a, run) <= 2 + eps
+    assert _untouched(a)
+
+    views = []
+
+    def recording_compose(network):
+        views.append(compose(network))
+        return views[-1]
+
+    monkeypatch.setattr(cli, "compose", recording_compose)
+    path = tmp_path / "six_planes.wta"
+    path.write_text(text, encoding="utf-8")
+    assert cli.main([str(path), "--witness", "1/1000", "--stats", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["stats"]["cost"] == "2"
+    assert 2 <= F(report["witness"]["cost"]) <= 2 + eps
+    (view,) = views
+    assert _untouched(view)

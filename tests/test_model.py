@@ -5,18 +5,18 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import MODELS, load_automaton, load_model
-from grid_oracles import random_automaton
+from conftest import MODELS, landing_network_text, load_automaton, load_model
+from grid_oracles import eager_product, random_automaton, random_network
 from zonecost.model import (
     Atom,
     Automaton,
     Location,
     ModelError,
+    Product,
     Run,
     RunError,
     compose,
     evaluate_run,
-    max_constants,
     parse_model,
     serialize_model,
 )
@@ -167,6 +167,77 @@ def test_compose_edge_order():
     assert a.edges[0].guard == (Atom("x", ">=", 1),)
 
 
+def _assert_view_matches_eager_product(net, rng):
+    ref = eager_product(net)
+    view = compose(net)
+    # a fresh view answers each location on its own, in any order
+    assert view.max_constants() == ref.max_constants()
+    assert view.min_weight() == ref.min_weight()
+    assert view.edge_count == len(ref.edges)
+    assert view.initial == ref.initial
+    expected = {l.name: [] for l in ref.locations}
+    for i, e in enumerate(ref.edges):
+        expected[e.source].append((i, e))
+    for name in rng.sample(sorted(expected), len(expected)):
+        assert list(view.leaving(name)) == expected[name]
+        assert view.location(name) == ref.location(name)  # goal and initial flags too
+    assert view.locations == ref.locations
+    assert view.edges == ref.edges
+    assert view.goal_locations == ref.goal_locations
+    return view
+
+
+def test_product_view_matches_eager_product():
+    rng = random.Random(20160211)
+    views = [_assert_view_matches_eager_product(random_network(rng), rng) for _ in range(250)]
+    # the corpus exercises what it is meant to: handshakes across and within
+    # components, negative rates and weights, edges a channel leaves unpaired
+    assert all(isinstance(v, Product) for v in views)
+    assert sum(v.min_weight() < 0 for v in views) > 100
+    assert sum(v.edge_count == 0 for v in views) < 25
+    within = across = unpaired = 0
+    for v in views:
+        ends: dict[str, tuple[set, set]] = {}
+        for i, a in enumerate(v.network.automata):
+            for e in a.edges:
+                if e.sync is not None:
+                    ends.setdefault(e.sync[0], (set(), set()))[e.sync[1] == "?"].add(i)
+        for senders, receivers in ends.values():
+            paired = any(i != j for i in senders for j in receivers)
+            within += bool(senders & receivers)
+            across += paired
+            unpaired += not paired
+    assert min(within, across, unpaired) > 50
+    for path in sorted(MODELS.glob("*.wta")):
+        _assert_view_matches_eager_product(parse_model(path.read_text(encoding="utf-8")), rng)
+    for n in range(2, 6):
+        view = _assert_view_matches_eager_product(parse_model(landing_network_text(n)), rng)
+        assert len(view.locations) == 2 * 4 ** n
+
+
+def test_product_location_rejects_unknown_names():
+    a = load_automaton("als_small")
+    assert isinstance(a, Product)
+    assert a.location("appr1,appr2,free").initial
+    for name in ("nowhere", "appr1,appr2", "appr1,appr2,free,free", "appr1,appr2,nowhere",
+                 "appr2,appr1,free", ""):
+        with pytest.raises(KeyError):
+            a.location(name)
+        with pytest.raises(KeyError):
+            a.leaving(name)
+
+
+def test_evaluate_run_on_a_product_rejects_foreign_edges():
+    a = load_automaton("als_small")
+    for index in (-1, a.edge_count, a.edge_count + 5):
+        with pytest.raises(RunError, match=f"no edge {index}"):
+            evaluate_run(a, Run(steps=((F(1), index),)))
+    elsewhere = a.leaving("early1,early2,busy")[0][0]
+    with pytest.raises(RunError, match=f"edge {elsewhere} does not leave appr1,appr2,free"):
+        evaluate_run(a, Run(steps=((F(1), elsewhere),)))
+    assert "edges" not in vars(a)
+
+
 def test_leaving_and_location_agree_with_a_scan():
     rng = random.Random(20160211)
     automata = [compose(parse_model(p.read_text(encoding="utf-8")))
@@ -196,13 +267,13 @@ def test_duplicate_location_names_rejected():
 
 def test_max_constants_fig2right():
     a = load_automaton("fig2right")
-    assert max_constants(a) == {"x": 1, "y": 10}
+    assert a.max_constants() == {"x": 1, "y": 10}
 
 
 def test_max_constants_never_compared():
     text = "clocks x y;\nautomaton a\n location l rate 0 initial;\n edge l -> l guard x <= 2;\n"
     a = compose(parse_model(text))
-    assert max_constants(a) == {"x": 2, "y": None}
+    assert a.max_constants() == {"x": 2, "y": None}
 
 
 def test_max_constants_fig4_style_model():
@@ -212,13 +283,13 @@ def test_max_constants_fig4_style_model():
         " edge l -> l guard x <= 2 && y <= 3;\n"
     )
     a = compose(parse_model(text))
-    assert max_constants(a) == {"x": 2, "y": 3}
+    assert a.max_constants() == {"x": 2, "y": 3}
 
 
 def test_max_constants_dominate_every_guard():
     for name in ["fig2left", "als_small", "ets_small"]:
         a = load_automaton(name)
-        m = max_constants(a)
+        m = a.max_constants()
         for e in a.edges:
             for atom in e.guard:
                 assert m[atom.clock] is not None and m[atom.clock] >= atom.const

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 import warnings
 from fractions import Fraction as F
@@ -8,9 +9,10 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import load_automaton
+from grid_oracles import random_network
 from zonecost.dbm import NEG_INF, POS_INF
-from zonecost.explorer import Config, explore
-from zonecost.model import compose, max_constants, parse_model
+from zonecost.explorer import Config, explore, extract_witness
+from zonecost.model import compose, evaluate_run, parse_model
 from zonecost.oracle import (
     OracleCapExceeded,
     build_corner_point,
@@ -75,7 +77,7 @@ def test_equivalent_valuations_share_region():
 def test_build_graph_counts_bounded():
     a = load_automaton("fig2right")
     g = build_corner_point(a)
-    m = max_constants(a)
+    m = a.max_constants()
     n_clocks = len(a.clocks)
     bound = len(a.locations) * math.factorial(n_clocks) * (2 ** n_clocks)
     for c in a.clocks:
@@ -157,3 +159,24 @@ def test_fig2left_shortest_path_value():
     g = build_corner_point(load_automaton("fig2left"))
     a = load_automaton("fig2left")
     assert optimal_cost_cp(g, a.goal_locations) == 11
+
+
+def test_oracle_matches_explorer_on_random_networks():
+    # product views of sync networks, with nonnegative weights so that every
+    # exploration terminates; each strategy's cost and witness are checked
+    rng = random.Random(20161101)
+    eps = F(1, 1000)
+    costs = []
+    for _ in range(150):
+        a = compose(random_network(rng, nonnegative=True))
+        expected = corner_point_cost(a, cap=300_000)
+        for strategy in ("best", "sbfs"):
+            v = explore(a, Config(inclusion="abstract", strategy=strategy, pruning=True))
+            assert v.terminated
+            assert v.cost == expected
+            if v.cost != POS_INF:
+                run = extract_witness(a, v.witness_state, eps)
+                assert v.cost <= evaluate_run(a, run) <= v.cost + eps
+        costs.append(expected)
+    assert sum(c != POS_INF for c in costs) >= 60
+    assert sum(0 < c < POS_INF for c in costs) >= 15

@@ -145,3 +145,18 @@ def test_no_module_level_mutable_state():
                 if name in caches:
                     found.append(f"{path.name}:{dec.lineno} @{name} on {fn.name}")
     assert found == []
+
+
+def test_exploration_never_lists_the_whole_product():
+    # a network's product composes only the locations a search reaches; its
+    # locations, edges and goal_locations list every one of them.  The
+    # oracle's own CornerGraph.edges is not an automaton's.
+    found = [
+        f"{name}:{node.lineno} {ast.unparse(node)}"
+        for name in ("explorer.py", "oracle.py", "cli.py")
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"), name))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("edges", "locations", "goal_locations")
+        and ast.unparse(node.value) != "graph"
+    ]
+    assert found == []
