@@ -22,7 +22,7 @@ from typing import Mapping
 # facet_reduce finds an unbounded cost in its elimination, without an LP
 from .dbm import NEG_INF, Zone, encode, inf_affine, sup_affine  # noqa: F401
 from .priced import (  # noqa: F401
-    AffineCost, PricedZone, _dedup, _dominates, _drop_contained, is_lower_bounded,
+    AffineCost, PricedZone, _dedup, _drop_contained, _never_costlier, is_lower_bounded,
 )
 
 # Per-clock maximal constants; None encodes "never compared" (-oo).
@@ -123,20 +123,40 @@ def m_cells(zone: Zone, m: MaxConstants) -> dict[frozenset[str], tuple[Zone, Zon
     largest Y first.
 
     Only downward-closed sets of the clock preorder can have non-empty cells,
-    so the map holds every Y whose cell is non-empty.  The result is stored
-    on the zone with a copy of M and reused while M compares equal, so each
-    zone computes its cells once however many tests it takes part in.
+    so the map holds every Y whose cell is non-empty.  Cells that the
+    unpriced check has already read are reused, the others are built here,
+    and the map is stored with the zone's memo, so each zone builds every
+    cell at most once under one M however many tests it takes part in.
     """
-    return _memo(zone, m)[1]
+    memo = _memo(zone, m)
+    full = memo[3]
+    if full is None:
+        full = {}
+        for y, entry in memo[1].items():
+            if entry is _UNBUILT:
+                entry = _build_cell(zone, memo, y)
+            if entry is not None:
+                full[y] = entry
+        zone._cells = memo[:3] + (full,)
+    return full
 
 
-def _memo(zone: Zone, m: MaxConstants) -> tuple[dict, dict, dict]:
+_UNBUILT = object()
+
+
+def _memo(zone: Zone, m: MaxConstants) -> tuple[dict, dict, dict, dict | None]:
     """The zone's derived data under M, kept in ``Zone._cells``: a copy of M,
-    the M-cells and the reduced pieces of :func:`_reduced`.
+    the cells, the reduced pieces of :func:`_reduced`, and the map of
+    :func:`m_cells` once some caller has asked for it (else None).
 
-    The cells are stored largest Y first.  A projection onto more clocks
+    The cells dict has one key per candidate Y, the down-sets of
+    :func:`clock_preorder`, largest first.  A projection onto more clocks
     keeps more of the zone's constraints, so in a failing unpriced test it
     is the one most likely to break inclusion, and the test tries it first.
+    Each value starts as ``_UNBUILT`` and is filled on first read with
+    (cell, projection), or None when the cell is empty, so an unpriced test
+    builds no cell past the Y at which it stops.  A Y that is not a key has
+    an empty cell.
 
     Nothing in it refers back to the zone, so a zone never holds itself and
     is freed by reference counting: a zone that lies inside one cell, where
@@ -145,17 +165,24 @@ def _memo(zone: Zone, m: MaxConstants) -> tuple[dict, dict, dict]:
     memo = zone._cells
     if memo is not None and memo[0] == m:
         return memo
-    cells: dict[frozenset[str], tuple[Zone, Zone]] = {}
+    cells: dict = {}
     if not zone.is_empty:
         ys = clock_preorder(zone, m).downward_closed_sets()
-        for y in sorted(ys, key=len, reverse=True):
-            cell = restrict_y(zone, y, m)
-            if cell is zone:
-                cell = Zone(zone.clocks, zone.m)
-            if not cell.is_empty:
-                cells[y] = (cell, cell.project([c for c in zone.clocks if c in y]))
-    memo = zone._cells = (dict(m), cells, {})
+        cells = dict.fromkeys(sorted(ys, key=len, reverse=True), _UNBUILT)
+    memo = zone._cells = (dict(m), cells, {}, None)
     return memo
+
+
+def _build_cell(zone: Zone, memo: tuple, y: frozenset[str]) -> tuple[Zone, Zone] | None:
+    """Fill in the cell Y of the memo's zone, built from the memo's copy of M."""
+    cell = restrict_y(zone, y, memo[0])
+    if cell is zone:
+        cell = Zone(zone.clocks, zone.m)
+    entry = None
+    if not cell.is_empty:
+        entry = (cell, cell.project([c for c in zone.clocks if c in y]))
+    memo[1][y] = entry
+    return entry
 
 
 _UNREDUCED = object()
@@ -170,14 +197,13 @@ def _reduced(
     Stored next to the zone's M-cells, so each (cell, cost, Y) is reduced,
     and its lower bound found, once however many tests it takes part in.
     """
-    _, cells, reduced = _memo(zone, m)
+    reduced = _memo(zone, m)[2]
     key = (y, cost)
     pieces = reduced.get(key, _UNREDUCED)
     if pieces is _UNREDUCED:
+        cell = m_cells(zone, m)[y][0]
         try:
-            pieces = [
-                (z.closure(), c) for z, c in facet_reduce(PricedZone(cells[y][0], cost), y)
-            ]
+            pieces = [(z.closure(), c) for z, c in facet_reduce(PricedZone(cell, cost), y)]
         except LowerBoundViolation:
             pieces = None
         reduced[key] = pieces
@@ -188,8 +214,11 @@ def unpriced_m_inclusion(zone: Zone, other: Zone, m: MaxConstants) -> bool:
     """Every valuation of ``zone`` has an M-equivalent valuation in ``other``.
 
     Decided cell by cell through projections onto the below-M clocks.  The
-    cells come largest Y first, the most constrained projection, so a
-    failing test usually rejects on its first comparison.  A zone includes
+    zone's candidate Ys come largest first, the most constrained projection,
+    so a failing test usually rejects on its first comparison.  Each cell is
+    built when the walk first reaches it, and of the other zone only the
+    cell of the same Y, none when that Y is not one of its candidates, so a
+    rejecting test builds no cell it does not compare.  A zone includes
     itself, and exploration keeps one object per zone value, so identity
     answers without reading any cells.
     """
@@ -197,10 +226,18 @@ def unpriced_m_inclusion(zone: Zone, other: Zone, m: MaxConstants) -> bool:
         return True
     if zone.clocks != other.clocks:
         raise ValueError("clock sets differ")
-    theirs = _memo(other, m)[1]
-    for y, (_, proj) in _memo(zone, m)[1].items():
-        match = theirs.get(y)
-        if match is None or not proj.subset(match[1]):
+    mine = _memo(zone, m)
+    theirs = _memo(other, m)
+    their_cells = theirs[1]
+    for y, entry in mine[1].items():
+        if entry is _UNBUILT:
+            entry = _build_cell(zone, mine, y)
+        if entry is None:
+            continue
+        match = their_cells.get(y)  # None when Y is not a candidate: an empty cell
+        if match is _UNBUILT:
+            match = _build_cell(other, theirs, y)
+        if match is None or not entry[1].subset(match[1]):
             return False
     return True
 
@@ -304,18 +341,19 @@ def includes(pz: PricedZone, other: PricedZone, m: MaxConstants) -> bool:
     a left cost unbounded below on the zone is unbounded below on some cell,
     and a right cost bounded below on the zone is bounded on every cell.
     """
-    if pz.clocks != other.clocks:
+    zone, other_zone = pz.zone, other.zone
+    if zone.clocks != other_zone.clocks:
         raise ValueError("clock sets differ")
-    if pz.zone.is_empty:
+    if zone.is_empty:
         return True
-    if not unpriced_m_inclusion(pz.zone, other.zone, m):
+    if not unpriced_m_inclusion(zone, other_zone, m):
         return False
     if other.cost.minus_infinity:
         return True
-    for y in m_cells(pz.zone, m):
-        if _reduced(other.zone, m, y, other.cost) is None:
+    for y in m_cells(zone, m):
+        if _reduced(other_zone, m, y, other.cost) is None:
             continue  # an arbitrarily cheap match exists in the cell
-        if _reduced(pz.zone, m, y, pz.cost) is None:
+        if _reduced(zone, m, y, pz.cost) is None:
             return False
         val, _ = s_value(pz, other, y, m)
         if val > 0:
@@ -325,6 +363,7 @@ def includes(pz: PricedZone, other: PricedZone, m: MaxConstants) -> bool:
 
 def simple_includes(pz: PricedZone, other: PricedZone) -> bool:
     """Classical test: zone containment plus pointwise cost dominance."""
-    if pz.clocks != other.clocks:
+    zone, other_zone = pz.zone, other.zone
+    if zone.clocks != other_zone.clocks:
         raise ValueError("clock sets differ")
-    return pz.zone.is_empty or _dominates(other, pz)
+    return zone.is_empty or (zone.subset(other_zone) and _never_costlier(other, pz))

@@ -180,8 +180,11 @@ def add_weight(pz: PricedZone, w: int) -> PricedZone:
 
 def _dominates(q: PricedZone, p: PricedZone) -> bool:
     """q makes p redundant: p's zone lies in q's with q never costlier on it."""
-    if not p.zone.subset(q.zone):
-        return False
+    return p.zone.subset(q.zone) and _never_costlier(q, p)
+
+
+def _never_costlier(q: PricedZone, p: PricedZone) -> bool:
+    """q's cost is at most p's at every point of p's zone (non-empty)."""
     if q.cost.minus_infinity:
         return True
     if p.cost.minus_infinity:

@@ -5,7 +5,9 @@ linear programs are solved by exact Fourier-Motzkin elimination over
 rationals, inclusion is decided from integral points and fiber minimization,
 delay/reset costs are recomputed from first principles on sampled points,
 vertices come from spanning trees of tight constraints, and a network's
-product is listed location by location.
+product is listed location by location.  The exception is
+:func:`eager_m_cells`: the library's own all-at-once cell loop, kept as the
+reference for the cells that ``inclusion`` now builds on demand.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from zonecost.dbm import INF, NEG_INF, Zone, _close, bound_is_strict, bound_value
+from zonecost.inclusion import clock_preorder, restrict_y
 from zonecost.model import Atom, Automaton, Edge, Location, Network
 from zonecost.priced import AffineCost, PricedZone
 
@@ -258,6 +261,21 @@ def combination_down_sets(pre) -> list[frozenset[str]]:
         for combo in itertools.combinations(pre.clocks, r)
         if all(pre.below[c] <= frozenset(combo) for c in combo)
     ]
+
+
+def eager_m_cells(zone: Zone, m: dict) -> dict[frozenset[str], tuple[Zone, Zone]]:
+    """Every non-empty M-cell of the zone with its projection onto Y, largest
+    Y first, all built at once and stored nowhere: the loop that
+    ``inclusion.m_cells`` ran before it built cells on demand, kept as its
+    reference."""
+    cells = {}
+    if not zone.is_empty:
+        ys = clock_preorder(zone, m).downward_closed_sets()
+        for y in sorted(ys, key=len, reverse=True):
+            cell = restrict_y(zone, y, m)
+            if not cell.is_empty:
+                cells[y] = (cell, cell.project([c for c in zone.clocks if c in y]))
+    return cells
 
 
 # -- random generation -------------------------------------------------------------

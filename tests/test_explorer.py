@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import json
 import warnings
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from conftest import MODELS, landing_network_text, load_automaton
 from grid_oracles import fm_minimize, zone_constraints
-from zonecost import cli, dbm, explorer, priced
+from zonecost import cli, dbm, explorer, inclusion, priced
 from zonecost.dbm import NEG_INF, POS_INF, Zone, encode
 from zonecost.explorer import (
     STRATEGIES,
@@ -281,6 +282,33 @@ def test_observer_sees_all_tests(corpus):
     )
     assert len(pairs) == v.stats.tests
     assert sum(1 for _, _, r in pairs if r) == v.stats.successful_tests
+
+
+def test_each_test_calls_each_traced_inclusion_layer_once(monkeypatch, corpus):
+    # the benchmark's tracer counts the inclusion layers at these names, so
+    # its counts are the explorer's tests only while each test calls each
+    # name exactly once
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counting(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    count(explorer, "includes")
+    count(explorer, "simple_includes")
+    count(inclusion, "unpriced_m_inclusion")
+    v = explore(corpus["fig2right"], Config())
+    assert v.stats.tests > 0
+    assert calls == {"includes": v.stats.tests, "unpriced_m_inclusion": v.stats.tests}
+    calls.clear()
+    v = explore(corpus["fig2right"], Config(inclusion="simple", iteration_cap=200))
+    assert v.stats.tests > 0
+    assert calls == {"simple_includes": v.stats.tests}
 
 
 def _model_verdicts():

@@ -8,11 +8,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import load_automaton
+from conftest import _bench_workloads, load_automaton
 from grid_oracles import (
     _cell,
     brute_includes,
     combination_down_sets,
+    eager_m_cells,
     fiber_min,
     random_point,
     random_priced_zone,
@@ -35,6 +36,7 @@ from zonecost.inclusion import (
     uniform_bounds,
     unpriced_m_inclusion,
 )
+from zonecost.model import compose, parse_model
 from zonecost.priced import AffineCost, PricedZone, is_lower_bounded
 
 XY = ("x", "y")
@@ -316,7 +318,7 @@ def test_unpriced_rejects_on_the_most_constrained_cell(monkeypatch):
     monkeypatch.setattr(Zone, "subset", counting_subset)
     explore(load_automaton("fig2right"), Config())
     assert counts["tests"]
-    assert counts["compares"] <= counts["tests"], counts
+    assert 0 < counts["compares"] <= counts["tests"], counts
 
 
 # -- facet reduction --------------------------------------------------------------
@@ -693,6 +695,74 @@ def test_cell_map_built_once_per_zone_value(monkeypatch):
         explore(load_automaton(name), Config())
         assert builds, name
         assert max(builds.values()) == 1, (name, sum(builds.values()), len(builds))
+
+
+def test_cells_built_on_demand_match_the_eager_reference_random():
+    # m_cells gives every non-empty cell, largest Y first, whether the memo
+    # is fresh, already partly filled by unpriced tests, or was last filled
+    # under another M
+    rng = random.Random(2020)
+    partial = 0
+
+    def check(zone, m):
+        got, want = m_cells(zone, m), eager_m_cells(zone, m)
+        assert list(got.items()) == list(want.items()), (zone, m)
+
+    for _ in range(1000):
+        clocks = ("x", "y", "z", "w", "v")[: rng.randint(1, 5)]
+        p, q = random_zone(rng, clocks, 4), random_zone(rng, clocks, 4)
+        if rng.random() < 1 / 3:
+            p, q = p.up(), q.up()
+        m = {c: rng.choice([None, 0, 1, 2, 3, 4]) for c in clocks}
+        m2 = {c: rng.choice([None, 0, 1, 2, 3, 4]) for c in clocks}
+        check(Zone(p.clocks, p.m), m)
+        unpriced_m_inclusion(p, q, m)
+        unpriced_m_inclusion(q, p, m)
+        partial += any(e is inclusion._UNBUILT for e in p._cells[1].values())
+        check(p, m)
+        check(q, m)
+        check(p, m2)
+        check(p, m)
+    assert partial >= 100, partial
+
+
+# answers of includes on the 500 random pairs of test_c05, bit k (from the
+# left) for pair k, as the all-at-once cell loop gave them on fresh zones
+C05_ANSWERS = int(
+    "40828a008101c000004000120200020003000050002006100000062000040020802520a8020"
+    "08a202838020000800000040a0122168716000004010010408", 16)
+
+
+def test_includes_keeps_its_answers_on_the_c05_pairs():
+    # each pair is tested after the reverse unpriced test has built some of
+    # the cells of both zones
+    rng = random.Random(777)
+    bits = 0
+    for _ in range(500):
+        a = random_priced_zone(rng, XY, 4)
+        b = random_priced_zone(rng, XY, 4)
+        m = {"x": rng.randint(0, 4), "y": rng.randint(0, 4)}
+        unpriced_m_inclusion(b.zone, a.zone, m)
+        bits = 2 * bits + includes(a, b, m)
+    assert bits == C05_ANSWERS
+
+
+def test_rejecting_tests_build_one_cell_per_stored_state(monkeypatch):
+    # on fig2right with loop constant 70 every test rejects on its first
+    # projection compare, which reads one cell of each zone, so no zone
+    # builds its other cells
+    build = inclusion.restrict_y
+    built = [0]
+
+    def counting_restrict_y(zone, y, m):
+        built[0] += 1
+        return build(zone, y, m)
+
+    monkeypatch.setattr(inclusion, "restrict_y", counting_restrict_y)
+    a = compose(parse_model(_bench_workloads().unbounded_text(70, 1)))
+    verdict = explore(a, Config(pruning=True))
+    assert verdict.cost == 71 and verdict.stats.tests == 4970
+    assert 0 < built[0] <= verdict.stats.added_to_passed == 71, built
 
 
 def test_exploration_leaves_no_reference_cycles():
