@@ -2,15 +2,23 @@
 
 The loop keeps the classical Waiting/Passed pair: a popped symbolic state
 updates the best goal cost, is dropped when subsumed by a stored state of the
-same location, and otherwise joins Passed (kept as a per-location antichain)
-while its successors join Waiting.  Strategies differ only in the pop order.
-``best`` (the default) pops the state of least ``mincost`` first, ties in
-insertion order: the minimal cost order of Behrmann et al. (HSCC 2001).  With
-nonnegative weights no successor is cheaper than its parent, so when pruning
-is on the loop stops at the first popped state that cannot beat the best
-cost.  ``bfs`` and ``dfs`` pop in queue and stack order; SBFS is BFS that
-also replaces subsumed Waiting entries by the subsumer's successors at their
-queue positions.
+same location, and otherwise joins Passed while its successors join Waiting.
+Strategies differ in the pop order.  ``best`` (the default) pops the state of
+least ``mincost`` first, ties in insertion order: the minimal cost order of
+Behrmann et al. (HSCC 2001).  With nonnegative weights no successor is
+cheaper than its parent, so when pruning is on the loop stops at the first
+popped state that cannot beat the best cost.  ``bfs`` and ``dfs`` pop in
+queue and stack order; SBFS is BFS that also replaces subsumed Waiting
+entries by the subsumer's successors at their queue positions.
+
+Under ``bfs``, ``dfs`` and ``sbfs`` Passed is a per-location antichain: a
+stored state is also removed when the new one includes it.  Under ``best`` it
+is append-only.  Inclusion x <= y implies mincost(y) <= mincost(x), and with
+nonnegative weights ``best`` pops in nondecreasing mincost, so a new state
+can include a stored one only at equal mincost and that reverse scan almost
+never succeeds.  Keeping an included state changes no verdict under any
+weights: inclusion is transitive, so whatever it covers its includer covers
+too, and the same states are explored.
 """
 
 from __future__ import annotations
@@ -85,6 +93,8 @@ class Verdict:
     terminated: bool
     stats: Stats
     witness_state: SymbolicState | None = None
+    # stored states per location, in insertion order: an antichain under
+    # bfs, dfs and sbfs, append-only under best (see the module docstring)
     passed: dict[str, list[SymbolicState]] = field(default_factory=dict)
 
 
@@ -233,7 +243,8 @@ def explore(
         if subsumed:
             continue
         before = len(store)
-        store[:] = [p for p in store if not test(p.pz, s.pz)]
+        if not best_first:
+            store[:] = [p for p in store if not test(p.pz, s.pz)]
         store.append(s)
         n_passed += len(store) - before
         stats.added_to_passed += 1

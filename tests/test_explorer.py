@@ -94,7 +94,8 @@ def test_explore_costs_match_known_values(corpus):
 
 
 def test_strategies_agree_on_cost(corpus):
-    for name in ["fig2left", "fig2right", "fig7", "ets_small"]:
+    for name in ["fig2left", "fig2right", "fig7", "ets_small", "als_hold", "als_small",
+                 "fig2left_lax", "unreachable"]:
         costs = set()
         for strategy in STRATEGIES:
             v = explore(corpus[name], Config(strategy=strategy, iteration_cap=50_000))
@@ -106,12 +107,13 @@ def test_strategies_agree_on_cost(corpus):
 def test_minimum_cost_order_stores_fewer_states(corpus):
     # the CLI's default on als_hold: popping the cheapest state first and
     # stopping at the first that cannot beat the best cost stores 29 states
-    # and makes 119 tests, where SBFS stores 45 and makes 229
+    # and makes 81 tests, all forward (Passed is append-only), where SBFS
+    # stores 45 and makes 229, reverse and Waiting tests included
     a = corpus["als_hold"]
     best = explore(a, Config(strategy="best", pruning=True))
     sbfs = explore(a, Config(strategy="sbfs", pruning=True))
     assert best.terminated and best.cost == sbfs.cost == 1
-    assert (best.stats.added_to_passed, best.stats.tests) == (29, 119)
+    assert (best.stats.added_to_passed, best.stats.tests) == (29, 81)
     assert (sbfs.stats.added_to_passed, sbfs.stats.tests) == (45, 229)
 
 
@@ -121,8 +123,9 @@ def test_unknown_strategy_is_rejected(corpus):
 
 
 def test_simple_inclusion_does_not_terminate_on_fig2right(corpus):
-    # SBFS: under the default minimum-cost order every stored state shares one
-    # location's Passed list, and the classical scan makes about 4 million tests
+    # SBFS, about 2 million tests; under the default minimum-cost order every
+    # stored state shares one location's Passed list, and the forward scan
+    # alone makes as many
     v = explore(corpus["fig2right"], Config(inclusion="simple", strategy="sbfs",
                                             iteration_cap=2_000))
     assert not v.terminated
@@ -146,6 +149,27 @@ def test_passed_is_antichain(corpus):
                 for j, t in enumerate(states):
                     if i != j:
                         assert not includes(s.pz, t.pz, m)
+
+
+def test_minimum_cost_order_stores_inclusions_only_at_equal_mincost(corpus):
+    # under best, Passed is append-only: a stored state may be included in a
+    # later one, but then both have the same mincost, since best pops in
+    # nondecreasing mincost and x ⊑ y implies mincost(y) <= mincost(x)
+    models = {name: corpus[name] for name in
+              ["als_hold", "als_small", "fig7", "ets_small", "fig2right_rate1"]}
+    models["landing3"] = compose(parse_model(landing_network_text(3)))
+    ties = 0
+    for name, a in models.items():
+        m = a.max_constants()
+        v = explore(a, Config(strategy="best", iteration_cap=20_000))
+        assert v.terminated, name
+        for states in v.passed.values():
+            for i, s in enumerate(states):
+                for t in states[i + 1:]:
+                    if includes(s.pz, t.pz, m):
+                        assert priced.mincost(s.pz) == priced.mincost(t.pz), name
+                        ties += 1
+    assert ties > 0  # als_hold stores included states
 
 
 def test_pruning_and_hint_neutrality(corpus):

@@ -733,18 +733,36 @@ C05_ANSWERS = int(
     "08a202838020000800000040a0122168716000004010010408", 16)
 
 
-def test_includes_keeps_its_answers_on_the_c05_pairs():
-    # each pair is tested after the reverse unpriced test has built some of
-    # the cells of both zones
+def _c05_pairs():
+    """The 500 random (a, b, M) triples of test_c05, on fresh zones."""
     rng = random.Random(777)
-    bits = 0
     for _ in range(500):
         a = random_priced_zone(rng, XY, 4)
         b = random_priced_zone(rng, XY, 4)
         m = {"x": rng.randint(0, 4), "y": rng.randint(0, 4)}
+        yield a, b, m
+
+
+def test_includes_keeps_its_answers_on_the_c05_pairs():
+    # each pair is tested after the reverse unpriced test has built some of
+    # the cells of both zones
+    bits = 0
+    for a, b, m in _c05_pairs():
         unpriced_m_inclusion(b.zone, a.zone, m)
         bits = 2 * bits + includes(a, b, m)
     assert bits == C05_ANSWERS
+
+
+def test_inclusion_implies_no_lower_mincost_on_the_c05_pairs():
+    # a ⊑ b implies mincost(b) <= mincost(a), for both tests: the lemma that
+    # lets the minimum-cost order skip the reverse Passed scan
+    held = Counter()
+    for a, b, m in _c05_pairs():
+        for name, r in (("abstract", includes(a, b, m)), ("simple", simple_includes(a, b))):
+            if r:
+                held[name] += 1
+                assert priced_mod.mincost(b) <= priced_mod.mincost(a), (name, a, b, m)
+    assert held["abstract"] > 0 and held["simple"] > 0, held
 
 
 def test_rejecting_tests_build_one_cell_per_stored_state(monkeypatch):
@@ -761,7 +779,7 @@ def test_rejecting_tests_build_one_cell_per_stored_state(monkeypatch):
     monkeypatch.setattr(inclusion, "restrict_y", counting_restrict_y)
     a = compose(parse_model(_bench_workloads().unbounded_text(70, 1)))
     verdict = explore(a, Config(pruning=True))
-    assert verdict.cost == 71 and verdict.stats.tests == 4970
+    assert verdict.cost == 71 and verdict.stats.tests == 2485
     assert 0 < built[0] <= verdict.stats.added_to_passed == 71, built
 
 
