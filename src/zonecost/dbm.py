@@ -82,8 +82,8 @@ class Zone:
 
     # _empty caches the diagonal's sign for the hot paths; _cells memoizes
     # inclusion's derived data under one M as (copy of M, cells built on
-    # demand, reduced pieces of the priced cells, map of the non-empty
-    # cells), ignored by ==, hash and repr
+    # demand, reduced pieces of the priced cells), ignored by ==, hash and
+    # repr
     __slots__ = ("clocks", "m", "_empty", "_cells")
 
     def __init__(self, clocks: Sequence[str], m: Sequence[int]):

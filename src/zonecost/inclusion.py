@@ -123,40 +123,27 @@ def m_cells(zone: Zone, m: MaxConstants) -> dict[frozenset[str], tuple[Zone, Zon
     largest Y first.
 
     Only downward-closed sets of the clock preorder can have non-empty cells,
-    so the map holds every Y whose cell is non-empty.  Cells that the
-    unpriced check has already read are reused, the others are built here,
-    and the map is stored with the zone's memo, so each zone builds every
-    cell at most once under one M however many tests it takes part in.
+    so the map holds every Y whose cell is non-empty.  The cells come from the
+    zone's memo, which builds each at most once under one M, but the map is
+    new on every call, so a caller that changes it changes no later test.
     """
     memo = _memo(zone, m)
-    full = memo[3]
-    if full is None:
-        full = {}
-        for y, entry in memo[1].items():
-            if entry is _UNBUILT:
-                entry = _build_cell(zone, memo, y)
-            if entry is not None:
-                full[y] = entry
-        zone._cells = memo[:3] + (full,)
-    return full
+    return {y: cell for y in memo[1] if (cell := _cell(zone, memo, y)) is not None}
 
 
 _UNBUILT = object()
 
 
-def _memo(zone: Zone, m: MaxConstants) -> tuple[dict, dict, dict, dict | None]:
+def _memo(zone: Zone, m: MaxConstants) -> tuple[dict, dict, dict]:
     """The zone's derived data under M, kept in ``Zone._cells``: a copy of M,
-    the cells, the reduced pieces of :func:`_reduced`, and the map of
-    :func:`m_cells` once some caller has asked for it (else None).
+    the cells of :func:`_cell`, and the reduced pieces of :func:`_reduced`.
 
     The cells dict has one key per candidate Y, the down-sets of
     :func:`clock_preorder`, largest first.  A projection onto more clocks
     keeps more of the zone's constraints, so in a failing unpriced test it
     is the one most likely to break inclusion, and the test tries it first.
-    Each value starts as ``_UNBUILT`` and is filled on first read with
-    (cell, projection), or None when the cell is empty, so an unpriced test
-    builds no cell past the Y at which it stops.  A Y that is not a key has
-    an empty cell.
+    Each value starts as ``_UNBUILT`` and is filled on first read, so a test
+    builds no cell it does not compare.
 
     Nothing in it refers back to the zone, so a zone never holds itself and
     is freed by reference counting: a zone that lies inside one cell, where
@@ -169,23 +156,24 @@ def _memo(zone: Zone, m: MaxConstants) -> tuple[dict, dict, dict, dict | None]:
     if not zone.is_empty:
         ys = clock_preorder(zone, m).downward_closed_sets()
         cells = dict.fromkeys(sorted(ys, key=len, reverse=True), _UNBUILT)
-    memo = zone._cells = (dict(m), cells, {}, None)
+    memo = zone._cells = (dict(m), cells, {})
     return memo
 
 
-def _build_cell(zone: Zone, memo: tuple, y: frozenset[str]) -> tuple[Zone, Zone] | None:
-    """Fill in the cell Y of the memo's zone, built from the memo's copy of M."""
-    cell = restrict_y(zone, y, memo[0])
-    if cell is zone:
-        cell = Zone(zone.clocks, zone.m)
-    entry = None
-    if not cell.is_empty:
-        entry = (cell, cell.project([c for c in zone.clocks if c in y]))
-    memo[1][y] = entry
+def _cell(zone: Zone, memo: tuple, y: frozenset[str]) -> tuple[Zone, Zone] | None:
+    """The cell Y of the memo's zone and its projection onto Y, built from
+    the memo's copy of M on first read; None when the cell is empty or Y is
+    not a candidate."""
+    entry = memo[1].get(y)
+    if entry is _UNBUILT:
+        cell = restrict_y(zone, y, memo[0])
+        if cell is zone:
+            cell = Zone(zone.clocks, zone.m)
+        entry = None
+        if not cell.is_empty:
+            entry = (cell, cell.project([c for c in zone.clocks if c in y]))
+        memo[1][y] = entry
     return entry
-
-
-_UNREDUCED = object()
 
 
 def _reduced(
@@ -197,17 +185,16 @@ def _reduced(
     Stored next to the zone's M-cells, so each (cell, cost, Y) is reduced,
     and its lower bound found, once however many tests it takes part in.
     """
-    reduced = _memo(zone, m)[2]
+    memo = _memo(zone, m)
+    reduced = memo[2]
     key = (y, cost)
-    pieces = reduced.get(key, _UNREDUCED)
-    if pieces is _UNREDUCED:
-        cell = m_cells(zone, m)[y][0]
+    if key not in reduced:
+        cell = _cell(zone, memo, y)[0]
         try:
-            pieces = [(z.closure(), c) for z, c in facet_reduce(PricedZone(cell, cost), y)]
+            reduced[key] = [(z.closure(), c) for z, c in facet_reduce(PricedZone(cell, cost), y)]
         except LowerBoundViolation:
-            pieces = None
-        reduced[key] = pieces
-    return pieces
+            reduced[key] = None
+    return reduced[key]
 
 
 def unpriced_m_inclusion(zone: Zone, other: Zone, m: MaxConstants) -> bool:
@@ -228,15 +215,11 @@ def unpriced_m_inclusion(zone: Zone, other: Zone, m: MaxConstants) -> bool:
         raise ValueError("clock sets differ")
     mine = _memo(zone, m)
     theirs = _memo(other, m)
-    their_cells = theirs[1]
-    for y, entry in mine[1].items():
-        if entry is _UNBUILT:
-            entry = _build_cell(zone, mine, y)
+    for y in mine[1]:
+        entry = _cell(zone, mine, y)
         if entry is None:
             continue
-        match = their_cells.get(y)  # None when Y is not a candidate: an empty cell
-        if match is _UNBUILT:
-            match = _build_cell(other, theirs, y)
+        match = _cell(other, theirs, y)
         if match is None or not entry[1].subset(match[1]):
             return False
     return True
@@ -311,10 +294,10 @@ def s_value(
     if pz.clocks != other.clocks:
         raise ValueError("clock sets differ")
     y = frozenset(y)
-    mine = m_cells(pz.zone, m).get(y)
+    mine = _cell(pz.zone, _memo(pz.zone, m), y)
     if mine is None:
         return NEG_INF, None
-    theirs = m_cells(other.zone, m).get(y)
+    theirs = _cell(other.zone, _memo(other.zone, m), y)
     if theirs is None or not mine[1].subset(theirs[1]):
         raise ValueError("projection precondition violated")
     left = _reduced(pz.zone, m, y, pz.cost)
@@ -350,7 +333,10 @@ def includes(pz: PricedZone, other: PricedZone, m: MaxConstants) -> bool:
         return False
     if other.cost.minus_infinity:
         return True
-    for y in m_cells(zone, m):
+    memo = _memo(zone, m)
+    for y in memo[1]:
+        if _cell(zone, memo, y) is None:
+            continue
         if _reduced(other_zone, m, y, other.cost) is None:
             continue  # an arbitrarily cheap match exists in the cell
         if _reduced(zone, m, y, pz.cost) is None:

@@ -326,8 +326,13 @@ def test_each_test_calls_each_traced_inclusion_layer_once(monkeypatch, corpus):
     count(explorer, "includes")
     count(explorer, "simple_includes")
     count(inclusion, "unpriced_m_inclusion")
+    # the priced layers run only on some tests, but must be reached through
+    # the module's names for the tracer to see them at all
+    count(inclusion, "s_value")
+    count(inclusion, "facet_reduce")
     v = explore(corpus["fig2right"], Config())
     assert v.stats.tests > 0
+    assert calls.pop("s_value", 0) >= 1 and calls.pop("facet_reduce", 0) >= 1
     assert calls == {"includes": v.stats.tests, "unpriced_m_inclusion": v.stats.tests}
     calls.clear()
     v = explore(corpus["fig2right"], Config(inclusion="simple", iteration_cap=200))

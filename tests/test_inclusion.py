@@ -783,6 +783,38 @@ def test_rejecting_tests_build_one_cell_per_stored_state(monkeypatch):
     assert 0 < built[0] <= verdict.stats.added_to_passed == 71, built
 
 
+def _box(bound):
+    return Zone.from_constraints(XY, [("x", None, bound, False), ("y", None, bound, False)])
+
+
+def test_m_cells_returns_a_new_map_on_each_call():
+    # the map is the caller's: emptying it must not empty the cells that the
+    # priced check walks, which would leave it nothing to compare
+    cheap, dear = priced(_box(5)), priced(_box(6), const=100)
+    assert not includes(cheap, dear, M4)
+    m_cells(cheap.zone, M4).clear()
+    assert not includes(cheap, dear, M4)
+    first, again = m_cells(cheap.zone, M4), m_cells(cheap.zone, M4)
+    assert first and first == again and first is not again
+
+
+def test_successful_test_builds_only_the_right_cells_it_compares(monkeypatch):
+    # small lies inside big's cell {x, y}, so a successful test compares
+    # only that cell of big and leaves big's other cells unbuilt
+    build = inclusion.restrict_y
+    built = []
+
+    def recording_restrict_y(zone, y, m):
+        built.append((zone, y))
+        return build(zone, y, m)
+
+    monkeypatch.setattr(inclusion, "restrict_y", recording_restrict_y)
+    small, big = priced(_box(1), const=5), priced(_box(6))
+    assert includes(small, big, M4)
+    assert [y for zone, y in built if zone is big.zone] == [frozenset(XY)]
+    assert any(e is inclusion._UNBUILT for e in big.zone._cells[1].values())
+
+
 def test_exploration_leaves_no_reference_cycles():
     # derived data stored on zones refers to nothing that refers back, so
     # every zone is freed by reference counting alone
