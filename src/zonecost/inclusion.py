@@ -5,9 +5,10 @@ cost dominance) and the abstraction-based one parameterized by per-clock
 maximal constants M.  The latter partitions each zone into cells whose clocks
 are split into "still relevant" (<= M) and "beyond M" parts, eliminates the
 beyond-M clocks through cost-minimizing facets, and compares the projected
-cost functions cell by cell; a cell with a non-lower-bounded right-hand cost
-passes outright, a non-lower-bounded left-hand cost against a bounded right
-side fails outright.
+cost functions cell by cell through one per-cell value, :func:`s_value`.
+It is total: a cell with a non-lower-bounded right-hand cost passes outright
+(-oo), a non-lower-bounded left-hand cost against a bounded right side fails
+outright (+oo).
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from typing import Mapping
 # benchmark's tracer wraps ``inclusion.inf_affine``, ``inclusion.sup_affine``
 # and ``inclusion.is_lower_bounded`` by name, so the imports stay bound;
 # facet_reduce finds an unbounded cost in its elimination, without an LP
-from .dbm import NEG_INF, Zone, encode, inf_affine, sup_affine  # noqa: F401
+from .dbm import NEG_INF, POS_INF, Zone, encode, inf_affine, sup_affine  # noqa: F401
 from .priced import (  # noqa: F401
-    AffineCost, PricedZone, _dedup, _drop_contained, _never_costlier, is_lower_bounded,
+    AffineCost, PricedZone, _dedup, _never_costlier, is_lower_bounded,
 )
 
 # Per-clock maximal constants; None encodes "never compared" (-oo).
@@ -242,15 +243,13 @@ def facet_reduce(pz: PricedZone, y: frozenset[str] | set[str]) -> list[tuple[Zon
     piece lies inside its dominator's domain, so it never sets the minimum
     and never provides the only cover of a point.
 
-    An elimination that starts from one piece needs no cost comparison for
-    that (``priced._drop_contained``): a point of the fiber on a lower facet
-    ``x = other + pivot`` satisfies every lower bound of x, so it is the
-    fiber's lowest point, which is the minimum when ``c_x >= 0``; upper
-    facets serve ``c_x < 0`` alike.  Each piece is then the fiber minimum on
-    its whole closed domain, and dominance is zone containment.  An
-    elimination that starts from several pieces uses ``priced._dedup``,
-    since pieces of different parents can disagree where their domains
-    overlap.
+    Each elimination's pieces are grouped by parent for ``priced._dedup``,
+    which compares no costs between pieces of one parent: a point of the
+    fiber on a lower facet ``x = other + pivot`` satisfies every lower bound
+    of x, so it is the fiber's lowest point, which is the minimum when
+    ``c_x >= 0``; upper facets serve ``c_x < 0`` alike.  Each piece of one
+    parent is then the fiber minimum on its whole closed domain, and
+    dominance between them is zone containment.
     """
     if pz.cost.minus_infinity:
         raise LowerBoundViolation("facet reduction of the -oo cost")
@@ -259,19 +258,18 @@ def facet_reduce(pz: PricedZone, y: frozenset[str] | set[str]) -> list[tuple[Zon
     for x in pz.clocks:
         if x in keep:
             continue
-        nxt: list[PricedZone] = []
+        nxt: list[list[PricedZone]] = []
         for p in pieces:
             facets = p.zone.facets(x, "lower" if p.cost.coeff(x) >= 0 else "upper")
             if not facets:  # x >= 0 is a lower facet: x is unbounded and the cost falls
                 raise LowerBoundViolation(f"the cost decreases along {x} without bound")
             remaining = [c for c in p.clocks if c != x]
-            for facet in facets:
-                other, pivot = facet.pivot
-                nxt.append(PricedZone(
-                    facet.zone.project(remaining),
-                    p.cost.substitute(x, other, pivot, drop=True),
-                ))
-        pieces = _drop_contained(nxt) if len(pieces) == 1 else _dedup(nxt)
+            nxt.append([
+                PricedZone(facet.zone.project(remaining),
+                           p.cost.substitute(x, *facet.pivot, drop=True))
+                for facet in facets
+            ])
+        pieces = _dedup(nxt)
     return [(p.zone, p.cost) for p in pieces]
 
 
@@ -280,9 +278,12 @@ def s_value(
 ) -> tuple[int | Fraction | float, dict[str, int] | None]:
     """The per-cell supremum whose sign decides cell-wise inclusion.
 
-    Requires the projection precondition and lower-bounded costs on both
-    cells.  Returns the supremum together with an integral witness point over
-    Y when finite; -oo when the left cell is empty.
+    Requires the projection precondition.  Returns the supremum together
+    with an integral witness point over Y when finite.  The rules for costs
+    unbounded below give no witness: -oo when the left cell is empty or the
+    right cost is unbounded below on its cell, since an arbitrarily cheap
+    match then exists, whatever the left cost; +oo when only the left cost
+    is unbounded below.
 
     The right-hand fiber infimum is the pointwise minimum of its facet pieces
     (a convex function: pieces from different elimination chains disagree on
@@ -300,10 +301,12 @@ def s_value(
     theirs = _cell(other.zone, _memo(other.zone, m), y)
     if theirs is None or not mine[1].subset(theirs[1]):
         raise ValueError("projection precondition violated")
-    left = _reduced(pz.zone, m, y, pz.cost)
     right = _reduced(other.zone, m, y, other.cost)
-    if left is None or right is None:
-        raise LowerBoundViolation("facet reduction needs a lower-bounded cost")
+    if right is None:
+        return NEG_INF, None
+    left = _reduced(pz.zone, m, y, pz.cost)
+    if left is None:
+        return POS_INF, None
     best: int | Fraction | float = NEG_INF
     witness: dict[str, int] | None = None
     for fz, fc in left:
@@ -318,11 +321,13 @@ def s_value(
 
 
 def includes(pz: PricedZone, other: PricedZone, m: MaxConstants) -> bool:
-    """The abstraction-based inclusion test between priced zones.
+    """The abstraction-based inclusion test between priced zones: the
+    unpriced test, then a non-positive :func:`s_value` on every cell.
 
-    The cells partition each zone, so lower-boundedness is decided per cell:
-    a left cost unbounded below on the zone is unbounded below on some cell,
-    and a right cost bounded below on the zone is bounded on every cell.
+    The cells partition each zone, so lower-boundedness is decided per cell,
+    by :func:`s_value`'s rules: a left cost unbounded below on the zone is
+    unbounded below on some cell, and a right cost bounded below on the zone
+    is bounded on every cell.
     """
     zone, other_zone = pz.zone, other.zone
     if zone.clocks != other_zone.clocks:
@@ -331,20 +336,9 @@ def includes(pz: PricedZone, other: PricedZone, m: MaxConstants) -> bool:
         return True
     if not unpriced_m_inclusion(zone, other_zone, m):
         return False
-    if other.cost.minus_infinity:
-        return True
-    memo = _memo(zone, m)
-    for y in memo[1]:
-        if _cell(zone, memo, y) is None:
-            continue
-        if _reduced(other_zone, m, y, other.cost) is None:
-            continue  # an arbitrarily cheap match exists in the cell
-        if _reduced(zone, m, y, pz.cost) is None:
-            return False
-        val, _ = s_value(pz, other, y, m)
-        if val > 0:
-            return False
-    return True
+    return other.cost.minus_infinity or all(
+        s_value(pz, other, y, m)[0] <= 0 for y in _memo(zone, m)[1]
+    )
 
 
 def simple_includes(pz: PricedZone, other: PricedZone) -> bool:

@@ -263,7 +263,7 @@ def parse_model(text: str) -> Network:
             if len(words) != 2 or not _NAME.match(words[1]):
                 raise ModelError("expected 'automaton NAME'", lineno)
             finish()
-            current = {"name": words[1], "locations": [], "edges": [], "line": lineno}
+            current = {"name": words[1], "locations": [], "edges": []}
         elif head == "location":
             if current is None:
                 raise ModelError("location outside an automaton", lineno)

@@ -48,6 +48,9 @@ class AffineCost:
            const: Fraction | int = 0) -> "AffineCost":
         cs = tuple(clocks)
         m = coeffs or {}
+        unknown = sorted(set(m) - set(cs))
+        if unknown:
+            raise ValueError(f"coefficients on unknown clocks: {', '.join(unknown)}")
         return AffineCost(cs, tuple(_exact(m.get(c, 0)) for c in cs), _exact(const))
 
     @staticmethod
@@ -178,11 +181,6 @@ def add_weight(pz: PricedZone, w: int) -> PricedZone:
     return PricedZone(pz.zone, pz.cost.add_constant(w))
 
 
-def _dominates(q: PricedZone, p: PricedZone) -> bool:
-    """q makes p redundant: p's zone lies in q's with q never costlier on it."""
-    return p.zone.subset(q.zone) and _never_costlier(q, p)
-
-
 def _never_costlier(q: PricedZone, p: PricedZone) -> bool:
     """q's cost is at most p's at every point of p's zone (non-empty)."""
     if q.cost.minus_infinity:
@@ -196,44 +194,29 @@ def _never_costlier(q: PricedZone, p: PricedZone) -> bool:
     return hi <= 0
 
 
-def _dedup(pieces: list[PricedZone]) -> list[PricedZone]:
-    """Drop pieces that never realize the pointwise minimum (keep-first on ties).
+def _dedup(groups: list[list[PricedZone]]) -> list[PricedZone]:
+    """A step's pieces, one list per parent piece, without those that never
+    realize the pointwise minimum; the first is kept on ties.
 
-    The pass for pieces of several parents: the steps of
-    :func:`reset_successors` and ``inclusion.facet_reduce`` that start from
-    two or more pieces.  Each such piece is exact only for its own parent, so
-    two pieces can disagree where their domains overlap, and dominance takes
-    a cost comparison, an LP per contained pair.  Steps that start from one
-    priced zone use :func:`_drop_contained`.
+    A piece q makes p redundant when p's zone lies in q's and q is never
+    costlier there.  Each step of :func:`delay_successors`,
+    :func:`reset_successors` and ``inclusion.facet_reduce`` gives, for one
+    parent, pieces that each equal the parent's exact optimum on their whole
+    closed domain, so two pieces of one parent agree wherever both are
+    defined, and containment alone decides between them.  Pieces of
+    different parents can disagree where their domains overlap, so between
+    them the cost is compared as well, an LP per contained pair.
     """
-    out: list[PricedZone] = []
-    for p in pieces:
-        if any(_dominates(q, p) for q in out):
-            continue
-        out = [q for q in out if not _dominates(p, q)]
-        out.append(p)
-    return out
-
-
-def _drop_contained(pieces: list[PricedZone]) -> list[PricedZone]:
-    """:func:`_dedup` for the pieces of one parent, by zone containment alone.
-
-    A step that starts from one priced zone gives pieces that each equal the
-    step's exact optimum on their whole closed domain (see
-    :func:`delay_successors`, :func:`reset_successors` and
-    ``inclusion.facet_reduce``).  Two such pieces agree wherever both are
-    defined, so q dominates p exactly when p's zone lies in q's, and no cost
-    is compared.  Such a step yields either one -oo piece or only finite
-    ones, so the sentinel never meets a finite piece here.  Of two equal
-    zones the first is kept, as :func:`_dedup` keeps it.
-    """
-    out: list[PricedZone] = []
-    for p in pieces:
-        if any(p.zone.subset(q.zone) for q in out):
-            continue
-        out = [q for q in out if not q.zone.subset(p.zone)]
-        out.append(p)
-    return out
+    out: list[tuple[int, PricedZone]] = []
+    for g, group in enumerate(groups):
+        for p in group:
+            if any(p.zone.subset(q.zone) and (h == g or _never_costlier(q, p))
+                   for h, q in out):
+                continue
+            out = [(h, q) for h, q in out
+                   if not (q.zone.subset(p.zone) and (h == g or _never_costlier(p, q)))]
+            out.append((g, p))
+    return [p for _, p in out]
 
 
 def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
@@ -250,7 +233,7 @@ def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
     pieces then cover.
 
     Every piece is the optimum on its whole closed domain, so containment
-    alone deduplicates them (:func:`_drop_contained`).  For d > 0 the point
+    alone deduplicates them (:func:`_dedup`, one parent).  For d > 0 the point
     on the face x = b is the first point of closure(Z) met going back along
     the diagonal, because any shorter delay puts x above b, so the sheared
     cost is the optimum; Z itself, at delay 0, is optimal too.  For d < 0
@@ -288,7 +271,7 @@ def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
             pieces.append(PricedZone(piece_zone, pz.cost.shear(x, d, b)))
     if d > 0 and not fixed:
         pieces.insert(0, pz)
-    return _drop_contained(pieces)
+    return _dedup([pieces])
 
 
 def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
@@ -299,32 +282,32 @@ def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
     skipping facets through a clock already reset; a negative coefficient
     on a clock unbounded in the piece yields a -oo piece.
 
-    A step that starts from one piece gives pieces that are each the fiber
-    minimum on their whole closed domain, so containment alone deduplicates
-    them (:func:`_drop_contained`).  A point of the fiber on a lower facet
-    ``x = other + pivot`` satisfies every lower bound of x, so it is the
-    fiber's lowest point, which is the minimum when ``c_x >= 0``; upper
-    facets serve ``c_x < 0`` alike.  Such a step yields either one -oo piece
-    or only finite ones.  A step that starts from several pieces uses
-    :func:`_dedup`, since pieces of different parents can disagree where
-    their domains overlap.
+    Each step's pieces are grouped by parent for :func:`_dedup`.  The pieces
+    of one parent are each the fiber minimum on their whole closed domain,
+    so containment alone decides between them: a point of the fiber on a
+    lower facet ``x = other + pivot`` satisfies every lower bound of x, so
+    it is the fiber's lowest point, which is the minimum when ``c_x >= 0``;
+    upper facets serve ``c_x < 0`` alike.  One parent yields either one -oo
+    piece or only finite ones.
     """
     if pz.zone.is_empty:
         raise EmptyZoneError("reset of an empty priced zone")
     order = [c for c in pz.clocks if c in set(resets)]
     pieces = [pz]
     for k, x in enumerate(order):
-        nxt: list[PricedZone] = []
+        nxt: list[list[PricedZone]] = []
         for piece in pieces:
+            group: list[PricedZone] = []
+            nxt.append(group)
             image = piece.zone.reset([x])
             if piece.cost.minus_infinity:
-                nxt.append(PricedZone(image, piece.cost))
+                group.append(PricedZone(image, piece.cost))
                 continue
             cx = piece.cost.coeff(x)
             # x >= 0 is a lower facet, so only an unbounded fiber has none
             facets = piece.zone.facets(x, "lower" if cx >= 0 else "upper")
             if not facets:
-                nxt.append(PricedZone(image, AffineCost.bottom(piece.clocks)))
+                group.append(PricedZone(image, AffineCost.bottom(piece.clocks)))
                 continue
             for facet in facets:
                 other, pivot = facet.pivot
@@ -336,6 +319,6 @@ def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
                 if piece_zone.is_empty:
                     continue
                 cost = piece.cost.substitute(x, other, pivot, drop=False)
-                nxt.append(PricedZone(piece_zone, cost))
-        pieces = _drop_contained(nxt) if len(pieces) == 1 else _dedup(nxt)
+                group.append(PricedZone(piece_zone, cost))
+        pieces = _dedup(nxt)
     return pieces

@@ -5,9 +5,11 @@ linear programs are solved by exact Fourier-Motzkin elimination over
 rationals, inclusion is decided from integral points and fiber minimization,
 delay/reset costs are recomputed from first principles on sampled points,
 vertices come from spanning trees of tight constraints, and a network's
-product is listed location by location.  The exception is
-:func:`eager_m_cells`: the library's own all-at-once cell loop, kept as the
-reference for the cells that ``inclusion`` now builds on demand.
+product is listed location by location.  The exceptions are
+:func:`eager_m_cells`, the library's own all-at-once cell loop, kept as the
+reference for the cells that ``inclusion`` now builds on demand, and
+:func:`all_pairs_dedup`, the cost-comparing pass kept as the reference for
+``priced._dedup``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 from zonecost.dbm import INF, NEG_INF, Zone, _close, bound_is_strict, bound_value
 from zonecost.inclusion import clock_preorder, restrict_y
 from zonecost.model import Atom, Automaton, Edge, Location, Network
-from zonecost.priced import AffineCost, PricedZone
+from zonecost.priced import AffineCost, PricedZone, _never_costlier
 
 # Constraints are (coeffs: dict var -> Fraction, rhs: Fraction, strict: bool),
 # meaning  sum(coeffs[v] * v) <= rhs  (or < rhs).
@@ -276,6 +278,20 @@ def eager_m_cells(zone: Zone, m: dict) -> dict[frozenset[str], tuple[Zone, Zone]
             if not cell.is_empty:
                 cells[y] = (cell, cell.project([c for c in zone.clocks if c in y]))
     return cells
+
+
+def all_pairs_dedup(pieces: list[PricedZone]) -> list[PricedZone]:
+    """Drop pieces that never realize the pointwise minimum (keep-first on
+    ties), comparing costs for every contained pair whatever their parents:
+    the pass that ``priced._dedup`` runs only between pieces of different
+    parents, kept as its reference."""
+    out: list[PricedZone] = []
+    for p in pieces:
+        if any(p.zone.subset(q.zone) and _never_costlier(q, p) for q in out):
+            continue
+        out = [q for q in out if not (q.zone.subset(p.zone) and _never_costlier(p, q))]
+        out.append(p)
+    return out
 
 
 # -- random generation -------------------------------------------------------------

@@ -401,9 +401,10 @@ def test_one_parent_pieces_need_no_cost_comparison(monkeypatch):
     # has one parent, so zone containment decides it and no piece's cost is
     # compared with another's
     compared = []
-    dominates = priced._dominates
+    never_costlier = priced._never_costlier
     monkeypatch.setattr(
-        priced, "_dominates", lambda q, p: compared.append((q, p)) or dominates(q, p)
+        priced, "_never_costlier",
+        lambda q, p: compared.append((q, p)) or never_costlier(q, p),
     )
     v = explore(load_automaton("als_small"), Config())
     assert v.terminated and v.cost == 2

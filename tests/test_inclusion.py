@@ -21,7 +21,7 @@ from grid_oracles import (
     weaken,
 )
 from zonecost import inclusion, priced as priced_mod
-from zonecost.dbm import INF, NEG_INF, Zone, bound_is_strict, bound_value, sup_affine
+from zonecost.dbm import INF, NEG_INF, POS_INF, Zone, bound_is_strict, bound_value, sup_affine
 from zonecost.explorer import Config, explore
 from zonecost.inclusion import (
     ClockPreorder,
@@ -499,6 +499,19 @@ def test_s_value_empty_cell():
     assert s_value(pz, pz, frozenset(), M4)[0] == NEG_INF
 
 
+def test_s_value_is_total_on_costs_unbounded_below():
+    # x >= 3 lies in the one cell Y = {} under M = {x: 2}, where -x has no
+    # lower bound: an unbounded right side passes whatever the left side,
+    # an unbounded left side against a bounded right side fails
+    z = Zone.from_constraints(("x",), [(None, "x", -3, False)])
+    m = {"x": 2}
+    unb, flat = priced(z, {"x": -1}), priced(z)
+    assert s_value(flat, unb, frozenset(), m) == (NEG_INF, None)
+    assert s_value(unb, flat, frozenset(), m) == (POS_INF, None)
+    assert not includes(unb, flat, m)
+    assert includes(flat, unb, m)
+
+
 # -- the decision procedures ---------------------------------------------------------
 
 
@@ -751,6 +764,16 @@ def test_includes_keeps_its_answers_on_the_c05_pairs():
         unpriced_m_inclusion(b.zone, a.zone, m)
         bits = 2 * bits + includes(a, b, m)
     assert bits == C05_ANSWERS
+
+
+def test_includes_is_the_unpriced_test_and_every_s_value_nonpositive():
+    held = 0
+    for a, b, m in _c05_pairs():
+        if unpriced_m_inclusion(a.zone, b.zone, m):
+            want = all(s_value(a, b, y, m)[0] <= 0 for y in m_cells(a.zone, m))
+            assert includes(a, b, m) == want, (a, b, m)
+            held += 1
+    assert held >= 50, held
 
 
 def test_inclusion_implies_no_lower_mincost_on_the_c05_pairs():

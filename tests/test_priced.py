@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from grid_oracles import fiber_min, random_cost, random_point, random_zone
+from grid_oracles import all_pairs_dedup, fiber_min, random_cost, random_point, random_zone
 from zonecost import inclusion, priced
 from zonecost.dbm import INF, NEG_INF, Zone, bound_value
 from zonecost.inclusion import LowerBoundViolation, clock_preorder, facet_reduce, restrict_y
@@ -48,6 +48,13 @@ def test_of_keeps_integral_values_as_int():
         AffineCost.of(XY, {"x": 0.1})
     with pytest.raises(TypeError):
         AffineCost.of(XY, {}, 0.5)
+
+
+def test_of_rejects_coefficients_on_unknown_clocks():
+    with pytest.raises(ValueError, match="unknown clocks: y$"):
+        AffineCost.of(("x",), {"y": 1})
+    with pytest.raises(ValueError, match="unknown clocks: w, z$"):
+        AffineCost.of(XY, {"x": 1, "z": 2, "w": 0})
 
 
 def test_mincost():
@@ -315,9 +322,10 @@ def _outcome(call):
 
 
 def test_one_parent_steps_match_the_cost_comparing_pass(monkeypatch):
-    # delay and every reset or facet-reduction step that starts from one
-    # piece deduplicate by containment alone; with the cost-comparing _dedup
-    # in its place every call returns the same pieces in the same order
+    # _dedup compares no costs between pieces of one parent: delay and every
+    # reset or facet-reduction step that starts from one piece deduplicate by
+    # containment alone.  With the all-pairs cost-comparing pass in its place
+    # every call returns the same pieces in the same order
     rng = random.Random(20261019)
     calls = []
     for k in range(160):
@@ -334,27 +342,37 @@ def test_one_parent_steps_match_the_cost_comparing_pass(monkeypatch):
             cell = restrict_y(zone, y, m)
             if not cell.is_empty:
                 calls.append((facet_reduce, PricedZone(cell, cost), y))
-    # the pieces each step drops by containment, where _dedup compares costs
-    dropped = Counter()
+    # the pieces one-parent steps drop by containment alone, and the steps
+    # whose pieces come from several parents
+    dropped, several = Counter(), Counter()
     current = []
-    drop = priced._drop_contained
+    dedup = priced._dedup
 
-    def counting_drop(pieces):
-        kept = drop(pieces)
-        dropped[current[-1]] += len(pieces) - len(kept)
+    def counting_dedup(groups):
+        kept = dedup(groups)
+        if len(groups) == 1:
+            dropped[current[-1]] += len(groups[0]) - len(kept)
+        else:
+            several[current[-1]] += 1
         return kept
 
-    monkeypatch.setattr(priced, "_drop_contained", counting_drop)
-    monkeypatch.setattr(inclusion, "_drop_contained", counting_drop)
+    monkeypatch.setattr(priced, "_dedup", counting_dedup)
+    monkeypatch.setattr(inclusion, "_dedup", counting_dedup)
     got = []
     for call in calls:
         current.append(call[0])
         got.append(_outcome(call))
-    monkeypatch.setattr(priced, "_drop_contained", priced._dedup)
-    monkeypatch.setattr(inclusion, "_drop_contained", priced._dedup)
+
+    def reference(groups):
+        return all_pairs_dedup([p for group in groups for p in group])
+
+    monkeypatch.setattr(priced, "_dedup", reference)
+    monkeypatch.setattr(inclusion, "_dedup", reference)
     assert [_outcome(call) for call in calls] == got
     assert min(dropped[f] for f in (delay_successors, reset_successors, facet_reduce)) >= 100, (
         dropped)
+    assert several[delay_successors] == 0, several
+    assert min(several[f] for f in (reset_successors, facet_reduce)) >= 10, several
 
 
 def test_delay_empty_zone_raises():

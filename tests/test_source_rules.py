@@ -51,6 +51,23 @@ def test_no_function_level_imports_in_library():
     assert found == []
 
 
+def test_private_names_imported_across_modules():
+    # a private name one module imports from another is a decision shared
+    # between them; each such import is listed here on purpose
+    found = sorted(
+        (path.stem, node.module, alias.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+    assert found == [
+        ("inclusion", "priced", "_dedup"),
+        ("inclusion", "priced", "_never_costlier"),
+    ]
+
+
 def test_traced_names_stay_bound():
     # the benchmark's tracer patches these names where they are bound; a
     # refactor that drops one breaks the benchmark, not just its smoke test
