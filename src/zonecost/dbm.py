@@ -328,8 +328,9 @@ class Zone:
         """Simple facets of closure(self) w.r.t. ``axis``.
 
         Lower facets come from tight bounds ``axis >= n`` / ``axis - y >= m``,
-        upper facets from ``axis <= n`` / ``axis - y <= m``.  One facet per
-        finite canonical entry; every returned facet zone is non-empty.
+        upper facets from ``axis <= n`` / ``axis - y <= m``.  Each distinct
+        facet zone comes once, with the pivot of its first finite canonical
+        entry (reference clock first); every returned facet zone is non-empty.
         """
         if kind not in ("lower", "upper"):
             raise ValueError("kind must be 'lower' or 'upper'")
@@ -356,7 +357,9 @@ class Zone:
                 pivot_value = bound_value(e)
                 extra = [(other, axis, -pivot_value, False)]
             # a tight bound of a non-empty closed canonical DBM is attained
-            out.append(Facet(closed.intersect(extra), (other, pivot_value)))
+            zone = closed.intersect(extra)
+            if all(f.zone != zone for f in out):
+                out.append(Facet(zone, (other, pivot_value)))
         return out
 
     # -- vertices --------------------------------------------------------------
@@ -374,10 +377,10 @@ class Zone:
         A vertex is pinned by tight bounds, so it lies on a lower or an upper
         facet of the quotient's first clock x, and a vertex of a face is a
         vertex of the polyhedron.  The vertices are therefore those of x's
-        distinct facet zones: project x away, recurse, and lift each point by
-        the facet's ``x = other + value``.  A quotient without clocks has the
-        one vertex at the origin, and one with a single clock is an interval
-        whose two bounds are its vertices.
+        facet zones, which :meth:`facets` gives once each: project x away,
+        recurse, and lift each point by the facet's ``x = other + value``.
+        A quotient without clocks has the one vertex at the origin, and one
+        with a single clock is an interval whose two bounds are its vertices.
         """
         if self._empty:
             raise EmptyZoneError("vertices of an empty zone")
@@ -412,11 +415,7 @@ class Zone:
             )
             x, rest = quotient.clocks[0], quotient.clocks[1:]
             points = set()
-            faces = set()
             for facet in quotient.facets(x, "lower") + quotient.facets(x, "upper"):
-                if facet.zone in faces:
-                    continue
-                faces.add(facet.zone)
                 other, value = facet.pivot
                 for v in facet.zone.project(rest).vertices():
                     lifted = value + (0 if other is None else v[other])

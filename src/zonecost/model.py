@@ -23,6 +23,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
+from .dbm import INF_VALUE
+
 OPS = ("<=", ">=", "<", ">", "=")
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*$")
@@ -198,6 +200,8 @@ def _parse_guard(text: str, clocks: set[str], line: int) -> Guard:
             raise ModelError(f"unknown clock '{clock}'", line)
         if const < 0:
             raise ModelError(f"guard constant must be a natural number, got {const}", line)
+        if (len(clocks) + 1) * const >= INF_VALUE:  # a DBM entry sums up to n constants
+            raise ModelError(f"guard constant {const} too large: (clocks + 1) * c must be < 2**60", line)
         atoms.append(Atom(clock, op, const))
     return tuple(atoms)
 

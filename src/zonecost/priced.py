@@ -278,9 +278,9 @@ def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
     """Pieces covering reset(Z, Y) realizing the fiber minimum of the cost.
 
     Clocks are eliminated one at a time in declaration order: lower facets
-    when the clock's coefficient is nonnegative, upper facets otherwise,
-    skipping facets through a clock already reset; a negative coefficient
-    on a clock unbounded in the piece yields a -oo piece.
+    when the clock's coefficient is nonnegative, upper facets otherwise (a
+    clock reset earlier is 0, so its facet is the reference clock's); a
+    negative coefficient on a clock unbounded in the piece yields a -oo piece.
 
     Each step's pieces are grouped by parent for :func:`_dedup`.  The pieces
     of one parent are each the fiber minimum on their whole closed domain,
@@ -294,7 +294,7 @@ def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
         raise EmptyZoneError("reset of an empty priced zone")
     order = [c for c in pz.clocks if c in set(resets)]
     pieces = [pz]
-    for k, x in enumerate(order):
+    for x in order:
         nxt: list[list[PricedZone]] = []
         for piece in pieces:
             group: list[PricedZone] = []
@@ -311,10 +311,6 @@ def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
                 continue
             for facet in facets:
                 other, pivot = facet.pivot
-                # a clock reset earlier is 0 here, so its facet repeats the
-                # reference clock's, which comes first and wins the dedup
-                if other in order[:k]:
-                    continue
                 piece_zone = facet.zone.reset([x]).intersect_zone(image)
                 if piece_zone.is_empty:
                     continue

@@ -7,9 +7,10 @@ delay/reset costs are recomputed from first principles on sampled points,
 vertices come from spanning trees of tight constraints, and a network's
 product is listed location by location.  The exceptions are
 :func:`eager_m_cells`, the library's own all-at-once cell loop, kept as the
-reference for the cells that ``inclusion`` now builds on demand, and
+reference for the cells that ``inclusion`` now builds on demand,
 :func:`all_pairs_dedup`, the cost-comparing pass kept as the reference for
-``priced._dedup``.
+``priced._dedup``, and :func:`all_facets`, the facet loop that offers a zone
+once per tight entry, kept as the reference for :meth:`Zone.facets`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from zonecost.dbm import INF, NEG_INF, Zone, _close, bound_is_strict, bound_value
+from zonecost.dbm import (
+    INF, NEG_INF, EmptyZoneError, Facet, Zone, _close, bound_is_strict, bound_value,
+)
 from zonecost.inclusion import clock_preorder, restrict_y
 from zonecost.model import Atom, Automaton, Edge, Location, Network
 from zonecost.priced import AffineCost, PricedZone, _never_costlier
@@ -291,6 +294,36 @@ def all_pairs_dedup(pieces: list[PricedZone]) -> list[PricedZone]:
             continue
         out = [q for q in out if not (q.zone.subset(p.zone) and _never_costlier(p, q))]
         out.append(p)
+    return out
+
+
+def all_facets(zone: Zone, axis: str, kind: str) -> list[Facet]:
+    """One facet per finite canonical entry of ``closure(zone)`` bounding
+    ``axis`` (reference clock first, then declaration order), equal facet
+    zones repeated: the loop :meth:`Zone.facets` ran before it dropped
+    repeats, kept as its reference."""
+    if kind not in ("lower", "upper"):
+        raise ValueError("kind must be 'lower' or 'upper'")
+    if zone.is_empty:
+        raise EmptyZoneError("facets of an empty zone")
+    closed = zone.closure()
+    n = len(zone.clocks) + 1
+    x = zone.idx(axis)
+    out = []
+    for other, j in [(None, 0)] + [(c, k) for k, c in enumerate(zone.clocks, 1) if c != axis]:
+        if kind == "lower":
+            e = closed.m[j * n + x]  # v_j - v_x <= m  <=>  x - j >= -m
+            if e >= INF:
+                continue
+            value = -bound_value(e)
+            extra = [(axis, other, value, False)]
+        else:
+            e = closed.m[x * n + j]  # v_x - v_j <= m
+            if e >= INF:
+                continue
+            value = bound_value(e)
+            extra = [(other, axis, -value, False)]
+        out.append(Facet(closed.intersect(extra), (other, value)))
     return out
 
 

@@ -116,6 +116,33 @@ def test_missing_file_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_non_utf8_file_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.wta"
+    bad.write_bytes(b"\xff\xfe\x00clocks x;")
+    code = main([str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert f"error: cannot read {bad}" in captured.err
+    assert captured.out == ""
+
+
+def test_constant_overflowing_the_dbm_exit_1(tmp_path, capsys):
+    # at 2**61 the invariant's encoded bound passed the DBM's infinity and was
+    # dropped, so the unreachable goal was reported at cost 5
+    bad = tmp_path / "big.wta"
+    bad.write_text(
+        "clocks x;\nautomaton A\n"
+        "  location l0 rate 0 invariant x <= 2305843009213693952 initial;\n"
+        "  location l1 rate 0 goal;\n"
+        "  edge l0 -> l1 guard x >= 2305843009213693953 weight 5;\n"
+    )
+    code = main([str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "line 3" in captured.err
+    assert captured.out == ""
+
+
 def test_option_conflict_exit_2(capsys):
     code = main([str(MODELS / "negrate.wta"), "--prune"])
     err = capsys.readouterr().err

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from grid_oracles import (
+    all_facets,
     closed_zone,
     fm_minimize,
     random_point,
@@ -21,6 +23,7 @@ from zonecost.dbm import (
     EmptyZoneError,
     UnboundedZoneError,
     Zone,
+    bound_is_strict,
     bound_value,
     encode,
     inf_affine,
@@ -316,6 +319,38 @@ def test_facet_cylinders_cover_zone():
                             covered = True
                             break
                     assert covered
+
+
+def test_facets_are_the_reference_facets_without_repeats():
+    # each distinct facet zone once (first is pairwise distinct), with the
+    # first pivot the reference loop offers for it; the draws with repeats
+    # include fixed clocks, zero-cycle classes and strict bounds
+    def fixed(z, i, j):
+        return bound_value(z.entry(i, j)) + bound_value(z.entry(j, i)) == 0
+
+    rng = random.Random(20261021)
+    repeats = Counter()
+    for k in range(240):
+        clocks = ("w", "x", "y", "z")[: 1 + k % 4]
+        z = lower_dimensional_zone(rng, clocks, 3) if k % 2 else random_zone(rng, clocks, 4)
+        n = len(clocks) + 1
+        for axis in clocks:
+            for kind in ("lower", "upper"):
+                reference = all_facets(z, axis, kind)
+                first = []
+                for f in reference:
+                    if all(g.zone != f.zone for g in first):
+                        first.append(f)
+                got = z.facets(axis, kind)
+                assert got == first, (z, axis, kind)
+                if len(got) < len(reference):
+                    repeats["repeats"] += 1
+                    repeats["fixed clock"] += any(fixed(z, 0, j) for j in range(1, n))
+                    repeats["zero-cycle class"] += any(
+                        fixed(z, i, j) for i in range(1, n) for j in range(i + 1, n)
+                    )
+                    repeats["strict"] += any(bound_is_strict(e) for e in z.m if e < INF)
+    assert min(repeats.values()) >= 30, repeats
 
 
 def test_sup_affine_fig4_values():

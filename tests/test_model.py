@@ -44,6 +44,19 @@ def test_parse_negative_guard_constant_errors():
     assert "line 4" in str(e.value)
 
 
+def test_parse_guard_constants_below_the_dbm_limit():
+    # a canonical DBM entry sums up to n constants, so (n + 1) * c must stay
+    # below the encoded infinity's value 2**60
+    def text(c):
+        return f"clocks x y;\nautomaton a\n location l rate 0 initial;\n edge l -> l guard y <= {c};\n"
+
+    limit = -(-(1 << 60) // 3)
+    assert parse_model(text(limit - 1)).automata[0].edges[0].guard[0].const == limit - 1
+    with pytest.raises(ModelError) as e:
+        parse_model(text(limit))
+    assert "line 4" in str(e.value)
+
+
 def test_parse_unknown_clock_errors():
     text = "clocks x;\nautomaton a\n location l rate 0 initial;\n edge l -> l guard z >= 1;\n"
     with pytest.raises(ModelError):
