@@ -11,14 +11,10 @@ popped state that cannot beat the best cost.  ``bfs`` and ``dfs`` pop in
 queue and stack order; SBFS is BFS that also replaces subsumed Waiting
 entries by the subsumer's successors at their queue positions.
 
-Under ``bfs``, ``dfs`` and ``sbfs`` Passed is a per-location antichain: a
-stored state is also removed when the new one includes it.  Under ``best`` it
-is append-only.  Inclusion x <= y implies mincost(y) <= mincost(x), and with
-nonnegative weights ``best`` pops in nondecreasing mincost, so a new state
-can include a stored one only at equal mincost and that reverse scan almost
-never succeeds.  Keeping an included state changes no verdict under any
-weights: inclusion is transitive, so whatever it covers its includer covers
-too, and the same states are explored.
+Passed is append-only under every strategy: a stored state stays stored
+when a later one includes it.  Inclusion is transitive, so whatever a stored
+state covers its includer covers too; dropping it would change no answer to
+"is this state included in a stored one?", and the same states are explored.
 """
 
 from __future__ import annotations
@@ -93,8 +89,8 @@ class Verdict:
     terminated: bool
     stats: Stats
     witness_state: SymbolicState | None = None
-    # stored states per location, in insertion order: an antichain under
-    # bfs, dfs and sbfs, append-only under best (see the module docstring)
+    # stored states per location, in insertion order (append-only, see the
+    # module docstring)
     passed: dict[str, list[SymbolicState]] = field(default_factory=dict)
 
 
@@ -175,7 +171,6 @@ def explore(
     cost: int | Fraction | float = POS_INF
     best: SymbolicState | None = None
     passed: dict[str, list[SymbolicState]] = {}
-    n_passed = 0
     # "best" keeps a heap of (mincost, insertion number, state): the key is
     # computed once, at the push, and the number pops ties in insertion order
     # and keeps the states out of the comparison; the others keep a list
@@ -235,18 +230,9 @@ def explore(
                     break  # pruning implies nonnegative weights: no later state is cheaper
                 continue
         store = passed.setdefault(s.location, [])
-        subsumed = False
-        for p in store:
-            if test(s.pz, p.pz):
-                subsumed = True
-                break
-        if subsumed:
+        if any(test(s.pz, p.pz) for p in store):
             continue
-        before = len(store)
-        if not best_first:
-            store[:] = [p for p in store if not test(p.pz, s.pz)]
         store.append(s)
-        n_passed += len(store) - before
         stats.added_to_passed += 1
         insert_at = None
         if cfg.strategy == "sbfs":
@@ -264,7 +250,7 @@ def explore(
             waiting[insert_at:insert_at] = successors
         else:
             push(successors)
-        stored = len(waiting) + n_passed
+        stored = len(waiting) + stats.added_to_passed
         if stored > stats.max_stored:
             stats.max_stored = stored
 

@@ -21,13 +21,16 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable
 
 from .dbm import INF_VALUE
 
-OPS = ("<=", ">=", "<", ">", "=")
+OPS = MappingProxyType(
+    {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt, "=": operator.eq})
 
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*$")
+_ATOM = re.compile(r"([A-Za-z_][A-Za-z0-9_.]*)\s*(<=|>=|<|>|=)\s*(-?\d+)$")
 
 
 class ModelError(ValueError):
@@ -50,15 +53,14 @@ class Atom:
     op: str  # one of OPS
     const: int
 
+    def __post_init__(self):
+        if self.op not in OPS:
+            raise ModelError(f"unknown comparison '{self.op}' in guard atom")
+        if type(self.const) is not int or self.const < 0:
+            raise ModelError(f"guard constant must be a natural number, got {self.const!r}")
+
     def holds(self, v) -> bool:
-        x = v[self.clock]
-        return {
-            "<": x < self.const,
-            "<=": x <= self.const,
-            "=": x == self.const,
-            ">=": x >= self.const,
-            ">": x > self.const,
-        }[self.op]
+        return OPS[self.op](v[self.clock], self.const)
 
     def constraints(self) -> list[tuple[str | None, str | None, int, bool]]:
         """The pair of difference constraints the atom contributes."""
@@ -81,6 +83,12 @@ Guard = tuple[Atom, ...]
 
 def guard_constraints(guard: Guard) -> list[tuple[str | None, str | None, int, bool]]:
     return [c for atom in guard for c in atom.constraints()]
+
+
+def _check_dbm_constant(const: int, n_clocks: int, line: int | None = None) -> None:
+    # a DBM's emptiness test sums up to n + 1 bounds; the sum must stay below +oo
+    if (n_clocks + 1) * const >= INF_VALUE:
+        raise ModelError(f"guard constant {const} too large: (clocks + 1) * c must be < 2**60", line)
 
 
 @dataclass(frozen=True)
@@ -117,6 +125,9 @@ class Automaton:
             raise ModelError(f"automaton {self.name}: needs at least one clock")
         if len(self._by_name) != len(self.locations):
             raise ModelError(f"automaton {self.name}: duplicate location names")
+        top = max([at.const for l in self.locations for at in l.invariant]
+                  + [at.const for e in self.edges for at in e.guard], default=0)
+        _check_dbm_constant(top, len(self.clocks))
 
     @property
     def initial(self) -> str:
@@ -192,7 +203,7 @@ def _parse_guard(text: str, clocks: set[str], line: int) -> Guard:
     atoms = []
     for raw in text.split("&&"):
         part = raw.strip()
-        m = re.match(r"([A-Za-z_][A-Za-z0-9_.]*)\s*(<=|>=|<|>|=)\s*(-?\d+)$", part)
+        m = _ATOM.match(part)
         if not m:
             raise ModelError(f"malformed guard atom '{part}'", line)
         clock, op, const = m.group(1), m.group(2), int(m.group(3))
@@ -200,8 +211,7 @@ def _parse_guard(text: str, clocks: set[str], line: int) -> Guard:
             raise ModelError(f"unknown clock '{clock}'", line)
         if const < 0:
             raise ModelError(f"guard constant must be a natural number, got {const}", line)
-        if (len(clocks) + 1) * const >= INF_VALUE:  # a DBM entry sums up to n constants
-            raise ModelError(f"guard constant {const} too large: (clocks + 1) * c must be < 2**60", line)
+        _check_dbm_constant(const, len(clocks), line)
         atoms.append(Atom(clock, op, const))
     return tuple(atoms)
 

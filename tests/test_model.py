@@ -10,6 +10,7 @@ from grid_oracles import eager_product, random_automaton, random_network
 from zonecost.model import (
     Atom,
     Automaton,
+    Edge,
     Location,
     ModelError,
     Product,
@@ -55,6 +56,25 @@ def test_parse_guard_constants_below_the_dbm_limit():
     with pytest.raises(ModelError) as e:
         parse_model(text(limit))
     assert "line 4" in str(e.value)
+
+
+def test_code_built_constants_below_the_dbm_limit():
+    # the parser's limit holds for an automaton built in code: at 2**61 the
+    # invariant's encoded bound passed the DBM's infinity and was dropped, so
+    # the unreachable goal was reported at cost 5
+    def automaton(inv, guard):
+        return Automaton(
+            "A", ("x",),
+            (Location("l0", 0, (Atom("x", "<=", inv),), initial=True),
+             Location("l1", 0, goal=True)),
+            (Edge("l0", "l1", (Atom("x", ">=", guard),), weight=5),),
+        )
+
+    limit = 1 << 59  # (1 + 1) * c < 2**60
+    automaton(limit - 1, limit - 1)
+    for inv, guard in [(1 << 61, (1 << 61) + 1), (limit, 0), (0, limit)]:
+        with pytest.raises(ModelError):
+            automaton(inv, guard)
 
 
 def test_parse_unknown_clock_errors():
@@ -379,3 +399,13 @@ def test_atom_str_and_holds():
     assert str(atom) == "x >= 2"
     assert atom.holds({"x": F(2)})
     assert not atom.holds({"x": F(3, 2)})
+
+
+@pytest.mark.parametrize("op, const", [
+    ("!=", 1), ("==", 1), ("<", 1.5), ("<=", F(1)), (">=", -1), ("=", True),
+])
+def test_atom_rejects_unknown_operator_or_constant(op, const):
+    # an unknown operator was read as "=" by the explorer and raised KeyError
+    # in holds; a float constant failed only inside the DBM encoding
+    with pytest.raises(ModelError):
+        Atom("x", op, const)
