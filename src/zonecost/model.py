@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .dbm import INF_VALUE
 
@@ -85,10 +85,24 @@ def guard_constraints(guard: Guard) -> list[tuple[str | None, str | None, int, b
     return [c for atom in guard for c in atom.constraints()]
 
 
-def _check_dbm_constant(const: int, n_clocks: int, line: int | None = None) -> None:
-    # a DBM's emptiness test sums up to n + 1 bounds; the sum must stay below +oo
-    if (n_clocks + 1) * const >= INF_VALUE:
-        raise ModelError(f"guard constant {const} too large: (clocks + 1) * c must be < 2**60", line)
+def _check_guard(guard: Guard, clocks: Collection[str]) -> None:
+    for atom in guard:
+        if atom.clock not in clocks:
+            raise ModelError(f"unknown clock '{atom.clock}'")
+        # a DBM's emptiness test sums up to n + 1 bounds; the sum must stay below +oo
+        if (len(clocks) + 1) * atom.const >= INF_VALUE:
+            raise ModelError(
+                f"guard constant {atom.const} too large: (clocks + 1) * c must be < 2**60")
+
+
+def _check_edge(edge: Edge, clocks: Collection[str], locations: Collection[str]) -> None:
+    for loc in (edge.source, edge.target):
+        if loc not in locations:
+            raise ModelError(f"unknown location '{loc}'")
+    _check_guard(edge.guard, clocks)
+    for c in edge.resets:
+        if c not in clocks:
+            raise ModelError(f"unknown clock '{c}' in reset")
 
 
 @dataclass(frozen=True)
@@ -123,11 +137,14 @@ class Automaton:
             raise ModelError(f"automaton {self.name}: needs exactly one initial location")
         if not self.clocks:
             raise ModelError(f"automaton {self.name}: needs at least one clock")
+        if len(set(self.clocks)) != len(self.clocks):
+            raise ModelError(f"automaton {self.name}: duplicate clock names")
         if len(self._by_name) != len(self.locations):
             raise ModelError(f"automaton {self.name}: duplicate location names")
-        top = max([at.const for l in self.locations for at in l.invariant]
-                  + [at.const for e in self.edges for at in e.guard], default=0)
-        _check_dbm_constant(top, len(self.clocks))
+        for l in self.locations:
+            _check_guard(l.invariant, self.clocks)
+        for e in self.edges:
+            _check_edge(e, self.clocks, self._by_name)
 
     @property
     def initial(self) -> str:
@@ -181,6 +198,29 @@ class Network:
     automata: tuple[Automaton, ...]
     clocks: tuple[str, ...]
 
+    def __post_init__(self):
+        if not self.automata:
+            raise ModelError("network needs at least one automaton")
+        owner: dict[str, int] = {}
+        polarity: dict[str, set[str]] = {}
+        for i, a in enumerate(self.automata):
+            # product zones are over the network's clocks: check each component against them
+            if a.clocks != self.clocks:
+                raise ModelError(f"automaton {a.name}: clocks {a.clocks} are not the network's")
+            used = {atom.clock for l in a.locations for atom in l.invariant}
+            for e in a.edges:
+                used.update(atom.clock for atom in e.guard)
+                used.update(e.resets)
+                if e.sync is not None:
+                    polarity.setdefault(e.sync[0], set()).add(e.sync[1])
+            for c in sorted(used):
+                if owner.setdefault(c, i) != i:
+                    other = self.automata[owner[c]].name
+                    raise ModelError(f"clock '{c}' used by both '{other}' and '{a.name}'")
+        for chan, pols in polarity.items():
+            if pols != {"!", "?"}:
+                raise ModelError(f"channel '{chan}' has no matching {'?' if pols == {'!'} else '!'}-edge")
+
     @property
     def channels(self) -> frozenset[str]:
         return frozenset(
@@ -199,20 +239,14 @@ class Run:
 # -- parsing ------------------------------------------------------------------
 
 
-def _parse_guard(text: str, clocks: set[str], line: int) -> Guard:
+def _parse_guard(text: str) -> Guard:
     atoms = []
     for raw in text.split("&&"):
         part = raw.strip()
         m = _ATOM.match(part)
         if not m:
-            raise ModelError(f"malformed guard atom '{part}'", line)
-        clock, op, const = m.group(1), m.group(2), int(m.group(3))
-        if clock not in clocks:
-            raise ModelError(f"unknown clock '{clock}'", line)
-        if const < 0:
-            raise ModelError(f"guard constant must be a natural number, got {const}", line)
-        _check_dbm_constant(const, len(clocks), line)
-        atoms.append(Atom(clock, op, const))
+            raise ModelError(f"malformed guard atom '{part}'")
+        atoms.append(Atom(m.group(1), m.group(2), int(m.group(3))))
     return tuple(atoms)
 
 
@@ -238,7 +272,11 @@ def _statements(text: str) -> Iterable[tuple[int, str]]:
 
 
 def parse_model(text: str) -> Network:
-    """Parse the textual model format into a validated network."""
+    """Parse the textual model format into a validated network.
+
+    The model's rules are the constructors'; the parser checks each statement
+    with ``_check_guard`` / ``_check_edge`` as it reads it, to name its line.
+    """
     clocks: list[str] = []
     automata: list[Automaton] = []
     current: dict | None = None
@@ -251,120 +289,81 @@ def parse_model(text: str) -> Network:
             Automaton(
                 name=current["name"],
                 clocks=tuple(clocks),
-                locations=tuple(current["locations"]),
+                locations=tuple(current["locations"].values()),
                 edges=tuple(current["edges"]),
             )
         )
         current = None
 
-    clock_set: set[str] = set()
     for lineno, stmt in _statements(text):
         words = stmt.split()
         head = words[0]
-        if head == "clocks":
-            if clocks:
-                raise ModelError("duplicate clocks declaration", lineno)
-            for c in words[1:]:
-                if not _NAME.match(c):
-                    raise ModelError(f"bad clock name '{c}'", lineno)
-                if c in clock_set:
-                    raise ModelError(f"duplicate clock '{c}'", lineno)
-                clocks.append(c)
-                clock_set.add(c)
-            if not clocks:
-                raise ModelError("empty clocks declaration", lineno)
-        elif head == "automaton":
+        if head == "automaton":
             if len(words) != 2 or not _NAME.match(words[1]):
                 raise ModelError("expected 'automaton NAME'", lineno)
-            finish()
-            current = {"name": words[1], "locations": [], "edges": []}
-        elif head == "location":
-            if current is None:
-                raise ModelError("location outside an automaton", lineno)
-            m = re.match(
-                r"location\s+(\w[\w.]*)\s+rate\s+(-?\d+)"
-                r"(?:\s+invariant\s+(.*?))?"
-                r"(\s+goal)?(\s+initial)?$",
-                stmt,
-            )
-            if not m:
-                raise ModelError(f"malformed location statement '{stmt}'", lineno)
-            name, rate, inv, goal, initial = m.groups()
-            if any(l.name == name for l in current["locations"]):
-                raise ModelError(f"duplicate location '{name}'", lineno)
-            invariant = _parse_guard(inv, clock_set, lineno) if inv else ()
-            current["locations"].append(
-                Location(name, int(rate), invariant, goal is not None, initial is not None)
-            )
-        elif head == "edge":
-            if current is None:
-                raise ModelError("edge outside an automaton", lineno)
-            m = re.match(
-                r"edge\s+(\w[\w.]*)\s*->\s*(\w[\w.]*)"
-                r"(?:\s+guard\s+(.*?))?"
-                r"(?:\s+reset\s+([\w.,\s]*?))?"
-                r"(?:\s+weight\s+(-?\d+))?"
-                r"(?:\s+sync\s+(\w[\w.]*[!?]))?$",
-                stmt,
-            )
-            if not m:
-                raise ModelError(f"malformed edge statement '{stmt}'", lineno)
-            src, dst, guard_s, resets_s, weight_s, sync_s = m.groups()
-            names = {l.name for l in current["locations"]}
-            for loc in (src, dst):
-                if loc not in names:
-                    raise ModelError(f"unknown location '{loc}'", lineno)
-            guard = _parse_guard(guard_s, clock_set, lineno) if guard_s else ()
-            resets: tuple[str, ...] = ()
-            if resets_s:
-                resets = tuple(r.strip() for r in resets_s.split(",") if r.strip())
-                for r in resets:
-                    if r not in clock_set:
-                        raise ModelError(f"unknown clock '{r}' in reset", lineno)
-            sync = None
-            if sync_s:
-                sync = (sync_s[:-1], sync_s[-1])
-            current["edges"].append(
-                Edge(src, dst, guard, resets, int(weight_s) if weight_s else 0, sync)
-            )
-        else:
-            raise ModelError(f"unknown statement '{head}'", lineno)
+            finish()  # an automaton's own errors, like the network's, name no line
+            current = {"name": words[1], "locations": {}, "edges": []}
+            continue
+        try:
+            if head == "clocks":
+                if clocks:
+                    raise ModelError("duplicate clocks declaration")
+                for c in words[1:]:
+                    if not _NAME.match(c):
+                        raise ModelError(f"bad clock name '{c}'")
+                    if c in clocks:
+                        raise ModelError(f"duplicate clock '{c}'")
+                    clocks.append(c)
+                if not clocks:
+                    raise ModelError("empty clocks declaration")
+            elif head == "location":
+                if current is None:
+                    raise ModelError("location outside an automaton")
+                m = re.match(
+                    r"location\s+(\w[\w.]*)\s+rate\s+(-?\d+)"
+                    r"(?:\s+invariant\s+(.*?))?"
+                    r"(\s+goal)?(\s+initial)?$",
+                    stmt,
+                )
+                if not m:
+                    raise ModelError(f"malformed location statement '{stmt}'")
+                name, rate, inv, goal, initial = m.groups()
+                if name in current["locations"]:
+                    raise ModelError(f"duplicate location '{name}'")
+                invariant = _parse_guard(inv) if inv else ()
+                _check_guard(invariant, clocks)
+                current["locations"][name] = Location(
+                    name, int(rate), invariant, goal is not None, initial is not None)
+            elif head == "edge":
+                if current is None:
+                    raise ModelError("edge outside an automaton")
+                m = re.match(
+                    r"edge\s+(\w[\w.]*)\s*->\s*(\w[\w.]*)"
+                    r"(?:\s+guard\s+(.*?))?"
+                    r"(?:\s+reset\s+([\w.,\s]*?))?"
+                    r"(?:\s+weight\s+(-?\d+))?"
+                    r"(?:\s+sync\s+(\w[\w.]*[!?]))?$",
+                    stmt,
+                )
+                if not m:
+                    raise ModelError(f"malformed edge statement '{stmt}'")
+                src, dst, guard_s, resets_s, weight_s, sync_s = m.groups()
+                edge = Edge(
+                    src, dst, _parse_guard(guard_s) if guard_s else (),
+                    tuple(r.strip() for r in (resets_s or "").split(",") if r.strip()),
+                    int(weight_s) if weight_s else 0,
+                    (sync_s[:-1], sync_s[-1]) if sync_s else None,
+                )
+                _check_edge(edge, clocks, current["locations"])
+                current["edges"].append(edge)
+            else:
+                raise ModelError(f"unknown statement '{head}'")
+        except ModelError as exc:
+            raise ModelError(str(exc), lineno) from None
     finish()
     if not automata:
         raise ModelError("no automaton declared", 1)
-
-    network = Network(tuple(automata), tuple(clocks))
-    _validate_network(network)
-    return network
-
-
-def _clocks_used(a: Automaton) -> set[str]:
-    used: set[str] = set()
-    for l in a.locations:
-        used.update(atom.clock for atom in l.invariant)
-    for e in a.edges:
-        used.update(atom.clock for atom in e.guard)
-        used.update(e.resets)
-    return used
-
-
-def _validate_network(network: Network) -> None:
-    owner: dict[str, str] = {}
-    for a in network.automata:
-        for c in _clocks_used(a):
-            if c in owner and owner[c] != a.name:
-                raise ModelError(
-                    f"clock '{c}' used by both '{owner[c]}' and '{a.name}'"
-                )
-            owner[c] = a.name
-    polarity: dict[str, set[str]] = {}
-    for a in network.automata:
-        for e in a.edges:
-            if e.sync is not None:
-                polarity.setdefault(e.sync[0], set()).add(e.sync[1])
-    for chan, pols in polarity.items():
-        if pols != {"!", "?"}:
-            raise ModelError(f"channel '{chan}' has no matching {'?' if pols == {'!'} else '!'}-edge")
+    return Network(tuple(automata), tuple(clocks))
 
 
 def serialize_model(network: Network) -> str:

@@ -777,8 +777,8 @@ def test_includes_is_the_unpriced_test_and_every_s_value_nonpositive():
 
 
 def test_inclusion_implies_no_lower_mincost_on_the_c05_pairs():
-    # a ⊑ b implies mincost(b) <= mincost(a), for both tests: the lemma that
-    # lets the minimum-cost order skip the reverse Passed scan
+    # the lemma a ⊑ b implies mincost(b) <= mincost(a) holds for both tests:
+    # an included zone is never cheaper than the zone that includes it
     held = Counter()
     for a, b, m in _c05_pairs():
         for name, r in (("abstract", includes(a, b, m)), ("simple", simple_includes(a, b))):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from zonecost.model import (
     Edge,
     Location,
     ModelError,
+    Network,
     Product,
     Run,
     RunError,
@@ -81,6 +83,56 @@ def test_parse_unknown_clock_errors():
     text = "clocks x;\nautomaton a\n location l rate 0 initial;\n edge l -> l guard z >= 1;\n"
     with pytest.raises(ModelError):
         parse_model(text)
+
+
+_HEAD = "clocks x y;\nautomaton a\n location l rate 0 initial;\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    pytest.param(_HEAD + " edge l -> l guard z >= 1;\n", 4, "unknown clock 'z'", id="guard-clock"),
+    pytest.param("clocks x;\nautomaton a\n location l rate 0 invariant z <= 1 initial;\n",
+                 3, "unknown clock 'z'", id="invariant-clock"),
+    pytest.param(_HEAD + " edge l -> l reset x,w;\n", 4, "unknown clock 'w' in reset",
+                 id="reset-clock"),
+    pytest.param(_HEAD + " edge l -> l\n   guard x >= 1\n   reset w;\n", 4,
+                 "unknown clock 'w' in reset", id="statement-over-three-lines"),
+    pytest.param(_HEAD + " edge l -> l9;\n", 4, "unknown location 'l9'", id="edge-target"),
+    pytest.param(_HEAD + " edge l8 -> l;\n", 4, "unknown location 'l8'", id="edge-source"),
+    pytest.param(_HEAD + " location l rate 1;\n", 4, "duplicate location 'l'",
+                 id="duplicate-location"),
+    pytest.param("clocks x y x;\nautomaton a\n location l rate 0 initial;\n", 1,
+                 "duplicate clock 'x'", id="duplicate-clock"),
+    pytest.param(_HEAD + " edge l -> l guard x >= -1;\n", 4,
+                 "guard constant must be a natural number, got -1", id="negative-constant"),
+    pytest.param(_HEAD + " edge l -> l guard y <= 384307168202282326;\n", 4,
+                 "guard constant 384307168202282326 too large: (clocks + 1) * c must be < 2**60",
+                 id="constant-at-dbm-limit"),
+    pytest.param("clocks x;\n", 1, "no automaton declared", id="no-automaton"),
+])
+def test_parse_errors_name_the_statement_line(text, line, message):
+    # the constructors check these rules; the parser only adds the line
+    with pytest.raises(ModelError) as e:
+        parse_model(text)
+    assert e.value.line == line
+    assert str(e.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("clocks x;\nautomaton a\n location l rate 0 initial;\n edge l -> l sync c!;\n",
+                 "channel 'c' has no matching ?-edge", id="unmatched-channel"),
+    pytest.param("clocks x;\n"
+                 "automaton a\n location l rate 0 initial;\n edge l -> l guard x >= 1 sync c!;\n"
+                 "automaton b\n location k rate 0 initial;\n edge k -> k guard x <= 1 sync c?;\n",
+                 "clock 'x' used by both 'a' and 'b'", id="shared-clock"),
+    pytest.param("clocks x;\nautomaton a\n location l rate 0;\n"
+                 "automaton b\n location k rate 0 initial;\n",
+                 "automaton a: needs exactly one initial location", id="no-initial-location"),
+])
+def test_parse_errors_of_a_whole_automaton_or_network_name_no_line(text, message):
+    with pytest.raises(ModelError) as e:
+        parse_model(text)
+    assert e.value.line is None
+    assert str(e.value) == message
 
 
 def test_parse_dangling_channel_errors():
@@ -296,6 +348,45 @@ def test_duplicate_location_names_rejected():
     # check too; a map by name would otherwise keep the last of the two
     with pytest.raises(ModelError, match="duplicate location"):
         Automaton("a", ("x",), (Location("l", 0, initial=True), Location("l", 1)), ())
+
+
+def _two_locations(edge, clocks=("x",), invariant=(), name="a"):
+    return Automaton(name, clocks, (Location("l0", 0, invariant, initial=True),
+                                    Location("l1", 0, goal=True)), (edge,))
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: _two_locations(Edge("l0", "l1", (Atom("z", ">=", 1),))),
+                 "unknown clock 'z'", id="guard-clock"),
+    pytest.param(lambda: _two_locations(Edge("l0", "l1"), invariant=(Atom("z", "<=", 1),)),
+                 "unknown clock 'z'", id="invariant-clock"),
+    pytest.param(lambda: _two_locations(Edge("l0", "l9")), "unknown location 'l9'",
+                 id="edge-target"),
+    pytest.param(lambda: _two_locations(Edge("l0", "l1", (), ("w",), 5)),
+                 "unknown clock 'w' in reset", id="reset-clock"),
+    pytest.param(lambda: _two_locations(Edge("l0", "l1"), clocks=("x", "x")),
+                 "duplicate clock names", id="duplicate-clock"),
+    pytest.param(lambda: Network((_two_locations(Edge("l0", "l1", sync=("c", "!"))),), ("x",)),
+                 "channel 'c' has no matching ?-edge", id="unmatched-channel"),
+    pytest.param(lambda: Network((
+        _two_locations(Edge("l0", "l1", (Atom("x", ">=", 1),), sync=("c", "!")), ("x", "y")),
+        _two_locations(Edge("l0", "l1", (Atom("x", "<=", 1),), sync=("c", "?")), ("x", "y"),
+                       name="b"),
+    ), ("x", "y")), "clock 'x' used by both 'a' and 'b'", id="shared-clock"),
+    pytest.param(lambda: Network((
+        _two_locations(Edge("l0", "l1", (Atom("x", ">=", 1),)), ("x", "y")),
+        _two_locations(Edge("l0", "l1", (), ("x",)), ("x", "y")),
+    ), ("x", "y")), "clock 'x' used by both 'a' and 'a'", id="shared-clock-same-name"),
+    pytest.param(lambda: Network((_two_locations(Edge("l0", "l1"), clocks=("y",)),), ("x",)),
+                 "are not the network's", id="component-clocks"),
+    pytest.param(lambda: Network((), ("x",)), "at least one automaton", id="empty-network"),
+])
+def test_code_built_models_are_checked_at_construction(build, message):
+    # the constructors check every rule the parser does, so none of these
+    # reaches explore, where each gave a KeyError or a wrong cost
+    with pytest.raises(ModelError, match=re.escape(message)) as e:
+        build()
+    assert e.value.line is None
 
 
 def test_max_constants_fig2right():

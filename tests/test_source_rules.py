@@ -118,6 +118,20 @@ def test_no_subset_enumeration_in_library():
     assert found == []
 
 
+def test_only_the_parser_names_a_line():
+    # a model rule is checked once, where the model is built; only the parser
+    # knows a statement's line, and adds it to whatever error that raises
+    tree = ast.parse((SRC / "model.py").read_text(encoding="utf-8"), "model.py")
+    found = sorted({
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _name(node.func) == "ModelError"
+        and (len(node.args) > 1 or any(k.arg == "line" for k in node.keywords))
+    })
+    assert found == ["_statements", "parse_model"]
+
+
 def _name(expr: ast.expr) -> str | None:
     """The name a call or decorator refers to: ``f`` or ``mod.f``."""
     return expr.id if isinstance(expr, ast.Name) else getattr(expr, "attr", None)
