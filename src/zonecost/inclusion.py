@@ -9,6 +9,10 @@ cost functions cell by cell through one per-cell value, :func:`s_value`.
 It is total: a cell with a non-lower-bounded right-hand cost passes outright
 (-oo), a non-lower-bounded left-hand cost against a bounded right side fails
 outright (+oo).
+
+Classical inclusion implies abstract inclusion, so the abstract test tries
+the classical one first, once its unpriced half has passed, and computes
+s-values only when the classical test fails (see :func:`includes`).
 """
 
 from __future__ import annotations
@@ -328,6 +332,16 @@ def includes(pz: PricedZone, other: PricedZone, m: MaxConstants) -> bool:
     by :func:`s_value`'s rules: a left cost unbounded below on the zone is
     unbounded below on some cell, and a right cost bounded below on the zone
     is bounded on every cell.
+
+    Once the unpriced test passes, the classical test is a quick accept,
+    since classical inclusion implies abstract inclusion.  Say Z lies in Z'
+    and f' <= f on Z.  Each cell of Z lies in the same cell of Z', so the
+    projections nest, and at each projected point the right fiber contains
+    the left one, closed or not.  f' is nowhere higher there, so the right
+    fiber infimum is at most the left one, and every s-value is <= 0.  The
+    classical test costs one matrix compare and at most one LP, where the
+    s-values reduce both costs cell by cell, so only the tests it leaves
+    open compute them.
     """
     zone, other_zone = pz.zone, other.zone
     if zone.clocks != other_zone.clocks:
@@ -336,9 +350,9 @@ def includes(pz: PricedZone, other: PricedZone, m: MaxConstants) -> bool:
         return True
     if not unpriced_m_inclusion(zone, other_zone, m):
         return False
-    return other.cost.minus_infinity or all(
-        s_value(pz, other, y, m)[0] <= 0 for y in _memo(zone, m)[1]
-    )
+    if other.cost.minus_infinity or simple_includes(pz, other):
+        return True
+    return all(s_value(pz, other, y, m)[0] <= 0 for y in _memo(zone, m)[1])
 
 
 def simple_includes(pz: PricedZone, other: PricedZone) -> bool:

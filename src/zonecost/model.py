@@ -103,6 +103,9 @@ def _check_edge(edge: Edge, clocks: Collection[str], locations: Collection[str])
     for c in edge.resets:
         if c not in clocks:
             raise ModelError(f"unknown clock '{c}' in reset")
+    if edge.sync is not None and edge.sync[1] not in ("!", "?"):
+        raise ModelError(f"sync polarity {edge.sync[1]!r} on channel '{edge.sync[0]}' "
+                         "is neither '!' nor '?'")
 
 
 @dataclass(frozen=True)

@@ -658,7 +658,10 @@ def test_cell_memo_invisible_to_eq_hash_repr():
     pz = priced(z, {"x": 1, "y": -1}, 2)
     twin = _fresh(pz).zone
     before = (repr(z), hash(z))
-    includes(pz, pz, M4)
+    # includes(pz, pz, M4) is decided by the classical quick accept, which
+    # reads no cell, so the s-values are asked for directly
+    for y in m_cells(z, M4):
+        s_value(pz, pz, y, M4)
     assert z._cells is not None and twin._cells is None
     reduced = z._cells[2]
     assert any(pieces is not None for pieces in reduced.values())
@@ -686,7 +689,9 @@ def test_priced_cells_reduced_once(monkeypatch):
 
     monkeypatch.setattr(inclusion, "facet_reduce", counting_facet_reduce)
     monkeypatch.setattr(priced_mod, "mincost", counting_mincost)
-    verdict = explore(load_automaton("als_small"), Config())
+    # on als_small the classical quick accept decides every successful test,
+    # so the model here is als_hold, where it leaves some of them open
+    verdict = explore(load_automaton("als_hold"), Config())
     assert verdict.stats.tests >= 20
     assert len(reductions) >= 20 and not bounds
     assert max(reductions.values()) == 1
@@ -774,6 +779,43 @@ def test_includes_is_the_unpriced_test_and_every_s_value_nonpositive():
             assert includes(a, b, m) == want, (a, b, m)
             held += 1
     assert held >= 50, held
+
+
+def test_classical_inclusion_implies_the_unpriced_test_and_nonpositive_s_values():
+    # the quick accept of includes is sound: wherever the classical test
+    # holds, so do the unpriced test and a non-positive s-value on every cell,
+    # computed here directly rather than through includes
+    rng = random.Random(2027)
+    pairs = [("c05", a, b, m) for a, b, m in _c05_pairs()]
+    for _ in range(1000):
+        clocks = ("x", "y", "z")[: rng.randint(1, 3)]
+        a = random_priced_zone(rng, clocks, 4)
+        m = {c: rng.choice([None, 0, 1, 2, 3, 4]) for c in clocks}
+        pairs.append(("weaken", a, weaken(rng, a), m))
+    accepted: Counter = Counter()
+    for source, a, b, m in pairs:
+        if simple_includes(a, b):
+            accepted[source] += 1
+            assert unpriced_m_inclusion(a.zone, b.zone, m), (a, b, m)
+            assert all(s_value(a, b, y, m)[0] <= 0 for y in m_cells(a.zone, m)), (a, b, m)
+    # weaken's pairs pass the classical test by construction
+    assert accepted["c05"] >= 10 and accepted["weaken"] == 1000, accepted
+
+
+def test_classical_quick_accept_decides_every_successful_test_on_als_small(monkeypatch):
+    # every successful abstract test of als_small also passes the classical
+    # test, so no cost is reduced, and the optimum is unchanged
+    calls = [0]
+    facet_reduce_orig = inclusion.facet_reduce
+
+    def counting_facet_reduce(pz, y):
+        calls[0] += 1
+        return facet_reduce_orig(pz, y)
+
+    monkeypatch.setattr(inclusion, "facet_reduce", counting_facet_reduce)
+    verdict = explore(load_automaton("als_small"), Config())
+    assert verdict.cost == 2 and verdict.stats.successful_tests > 0
+    assert calls[0] == 0
 
 
 def test_inclusion_implies_no_lower_mincost_on_the_c05_pairs():

@@ -368,6 +368,8 @@ def _two_locations(edge, clocks=("x",), invariant=(), name="a"):
                  "duplicate clock names", id="duplicate-clock"),
     pytest.param(lambda: Network((_two_locations(Edge("l0", "l1", sync=("c", "!"))),), ("x",)),
                  "channel 'c' has no matching ?-edge", id="unmatched-channel"),
+    pytest.param(lambda: _two_locations(Edge("l0", "l1", sync=("c", "x"))),
+                 "sync polarity 'x' on channel 'c' is neither '!' nor '?'", id="sync-polarity"),
     pytest.param(lambda: Network((
         _two_locations(Edge("l0", "l1", (Atom("x", ">=", 1),), sync=("c", "!")), ("x", "y")),
         _two_locations(Edge("l0", "l1", (Atom("x", "<=", 1),), sync=("c", "?")), ("x", "y"),
