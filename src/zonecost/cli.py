@@ -51,7 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: enabled iff all weights are nonnegative)",
     )
     p.add_argument("--hint", type=_number(Fraction), default=None,
-                   help="known cost bound used for pruning")
+                   help="known cost bound used for pruning; conflicts with --no-prune")
     p.add_argument("--uniform-m", action="store_true",
                    help="use one global maximal constant for all clocks")
     p.add_argument("--cap", type=_number(int, 0), default=None, help="iteration cap")
@@ -92,6 +92,9 @@ def _stats_payload(verdict: Verdict) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.prune is False and args.hint is not None:
+        print("error: --hint prunes, so it conflicts with --no-prune", file=sys.stderr)
+        return 2
     try:
         text = args.model.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:

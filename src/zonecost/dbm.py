@@ -124,12 +124,27 @@ class Zone:
     def idx(self, clock: str) -> int:
         return self.clocks.index(clock) + 1
 
-    def entry(self, i: int, j: int) -> int:
-        return self.m[i * (len(self.clocks) + 1) + j]
-
     @property
     def is_empty(self) -> bool:
         return self._empty
+
+    def implies(self, a: str | None, b: str | None, value: int, strict: bool) -> bool:
+        """Every point satisfies ``a - b (<|<=) value`` (None = reference);
+        the empty zone implies every constraint."""
+        if self._empty:
+            return True
+        i = 0 if a is None else self.idx(a)
+        j = 0 if b is None else self.idx(b)
+        return self.m[i * (len(self.clocks) + 1) + j] <= encode(value, strict)
+
+    def clock_bounds(self, clock: str) -> tuple[int, int | float]:
+        """The clock's lower and upper bound in the zone's closure, the upper
+        one POS_INF when the clock is unbounded."""
+        if self._empty:
+            raise EmptyZoneError("bounds of a clock in an empty zone")
+        x = self.idx(clock)
+        upper = self.m[x * (len(self.clocks) + 1)]
+        return -bound_value(self.m[x]), POS_INF if upper >= INF else bound_value(upper)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -296,31 +311,52 @@ class Zone:
         """Some rational valuation inside the zone (strict bounds respected)."""
         if self._empty:
             raise EmptyZoneError("cannot sample an empty zone")
-        n = len(self.clocks) + 1
         vals: list[Fraction | None] = [Fraction(0)] + [None] * len(self.clocks)
-        for i in range(1, n):
-            lo, lo_strict = Fraction(0), False
-            hi, hi_strict = None, False
-            for j in range(n):
-                if vals[j] is None:
-                    continue
-                e_up = self.m[i * n + j]  # v_i - v_j <= e_up
-                if e_up < INF:
-                    cand = vals[j] + bound_value(e_up)
-                    if hi is None or cand < hi or (cand == hi and bound_is_strict(e_up)):
-                        hi, hi_strict = cand, bound_is_strict(e_up)
-                e_lo = self.m[j * n + i]  # v_j - v_i <= e_lo
-                if e_lo < INF:
-                    cand = vals[j] - bound_value(e_lo)
-                    if cand > lo or (cand == lo and bound_is_strict(e_lo)):
-                        lo, lo_strict = cand, bound_is_strict(e_lo)
+        for i in range(1, len(vals)):
+            lo, _, hi, _ = self._interval(i, vals)
             if hi is None:
-                vals[i] = lo + 1
+                vals[i] = Fraction(lo + 1)
             elif lo == hi:
-                vals[i] = lo
+                vals[i] = Fraction(lo)
             else:
-                vals[i] = (lo + hi) / 2
+                vals[i] = Fraction(lo + hi, 2)  # exact: a float midpoint can leave the zone
         return {c: vals[k] for k, c in enumerate(self.clocks, 1)}
+
+    def delay_interval(self, v: Mapping[str, Fraction | int]):
+        """The delays t >= 0 that take ``v - t`` into the zone, as ``(lo,
+        lo_strict, hi, hi_strict)``; hi is None when no clock bounds t.
+
+        A zone is a set of differences, so ``v - t`` lies in it exactly when
+        the point with the reference node at t and each clock at v does: t
+        ranges over node 0's interval with the clocks fixed.  Only bounds on
+        single clocks are read, so v must satisfy the zone's differences
+        between clocks, as every point of its delay closure does.
+        """
+        if self._empty:
+            raise EmptyZoneError("delay into an empty zone")
+        return self._interval(0, [None] + [v[c] for c in self.clocks])
+
+    def _interval(self, i: int, vals: Sequence[Fraction | int | None]):
+        """Node i's feasible values, at least 0, against the nodes whose value
+        in ``vals`` is not None: ``(lo, lo_strict, hi, hi_strict)``, hi None
+        when no such node bounds node i from above."""
+        n = len(self.clocks) + 1
+        lo, lo_strict = 0, False
+        hi, hi_strict = None, False
+        for j, vj in enumerate(vals):
+            if vj is None:
+                continue
+            e = self.m[i * n + j]  # v_i - v_j <= e
+            if e < INF:
+                cand = vj + bound_value(e)
+                if hi is None or cand < hi or (cand == hi and bound_is_strict(e)):
+                    hi, hi_strict = cand, bound_is_strict(e)
+            e = self.m[j * n + i]  # v_j - v_i <= e
+            if e < INF:
+                cand = vj - bound_value(e)
+                if cand > lo or (cand == lo and bound_is_strict(e)):
+                    lo, lo_strict = cand, bound_is_strict(e)
+        return lo, lo_strict, hi, hi_strict
 
     # -- facets --------------------------------------------------------------
 

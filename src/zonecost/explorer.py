@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable
 
-from .dbm import INF, NEG_INF, POS_INF, Zone, bound_is_strict, bound_value, inf_affine
+from .dbm import NEG_INF, POS_INF, Zone, inf_affine
 from .inclusion import includes, simple_includes, uniform_bounds
 from .model import Automaton, Location, Product, Run, edge_from, guard_constraints
 from .priced import (
@@ -282,32 +282,11 @@ def _pick_point(zone: Zone, cost: AffineCost,
     return {c: v[c] + lam * (interior[c] - v[c]) for c in zone.clocks}
 
 
-def _delay_interval(zone: Zone, v: dict[str, int | Fraction]):
-    """Feasible backward delays t with v - t*1 in the zone (plus strictness flags)."""
-    n = len(zone.clocks) + 1
-    lo, lo_strict = 0, False
-    hi, hi_strict = None, False
-    for i, c in enumerate(zone.clocks, 1):
-        e = zone.m[i * n + 0]  # v[c] - t <= ub
-        if e < INF:
-            cand = v[c] - bound_value(e)
-            if cand > lo or (cand == lo and bound_is_strict(e)):
-                lo, lo_strict = cand, bound_is_strict(e)
-        e = zone.m[0 * n + i]  # t <= v[c] - lb
-        if e < INF:
-            cand = v[c] + bound_value(e)
-            if hi is None or cand < hi or (cand == hi and bound_is_strict(e)):
-                hi, hi_strict = cand, bound_is_strict(e)
-    if lo < 0:
-        lo, lo_strict = 0, False
-    if hi is None:
-        raise WitnessError("clocks are bounded below, so backward delay is bounded")
-    return lo, lo_strict, hi, hi_strict
-
-
 def _choose_delay(entry: PricedZone, rate: int, v: dict[str, int | Fraction],
                   budget: Fraction) -> int | Fraction:
-    lo, lo_strict, hi, hi_strict = _delay_interval(entry.zone, v)
+    lo, lo_strict, hi, hi_strict = entry.zone.delay_interval(v)
+    if hi is None:
+        raise WitnessError("clocks are bounded below, so backward delay is bounded")
     slope = rate - entry.cost.diagonal_slope()
     want_lo = slope >= 0
     t, strict = (lo, lo_strict) if want_lo else (hi, hi_strict)
@@ -336,7 +315,7 @@ def _fiber_point(parent_zone: Zone, cost: AffineCost, fixed: dict[str, int | Fra
         pick_cost = AffineCost.of(zone.clocks, coeffs, cost.const)
     constraints = []
     for c, val in fixed.items():
-        iv = int(val * d)  # an int, as encode needs, also for an integral Fraction
+        iv = int(val * d)  # an int, as zone bounds are, also for an integral Fraction
         constraints.append((c, None, iv, False))
         constraints.append((None, c, -iv, False))
     fiber = zone.intersect(constraints)

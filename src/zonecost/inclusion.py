@@ -25,7 +25,7 @@ from typing import Mapping
 # benchmark's tracer wraps ``inclusion.inf_affine``, ``inclusion.sup_affine``
 # and ``inclusion.is_lower_bounded`` by name, so the imports stay bound;
 # facet_reduce finds an unbounded cost in its elimination, without an LP
-from .dbm import NEG_INF, POS_INF, Zone, encode, inf_affine, sup_affine  # noqa: F401
+from .dbm import NEG_INF, POS_INF, Zone, inf_affine, sup_affine  # noqa: F401
 from .priced import (  # noqa: F401
     AffineCost, PricedZone, _dedup, _never_costlier, is_lower_bounded,
 )
@@ -94,29 +94,14 @@ def clock_preorder(zone: Zone, m: MaxConstants) -> ClockPreorder:
     # 2004): x - y <= M_x - M_y with y <= M_y gives x <= M_x, two difference
     # steps add up, and a clock > M throughout lies below only such clocks.
     clocks = zone.clocks
-    n = len(clocks) + 1
-    above = set()
-    below_m = set()
-    for x in clocks:
-        mx = m.get(x)
-        if mx is None:
-            above.add(x)  # every value exceeds -oo
-            continue
-        i = zone.idx(x)
-        if zone.is_empty:
-            above.add(x)
-            below_m.add(x)
-            continue
-        if zone.m[0 * n + i] <= encode(-mx, True):  # z |= x > mx
-            above.add(x)
-        if zone.m[i * n + 0] <= encode(mx, False):  # z |= x <= mx
-            below_m.add(x)
+    # above: x > M_x throughout, always so when M_x is None (-oo); below_m: x <= M_x
+    above = {x for x in clocks if m.get(x) is None or zone.implies(None, x, -m[x], True)}
+    below_m = {x for x in clocks if m.get(x) is not None and zone.implies(x, None, m[x], False)}
     below = {
         y: frozenset(
             x for x in clocks
-            if x == y or x in below_m or y in above or (
-                x not in above
-                and zone.m[zone.idx(x) * n + zone.idx(y)] <= encode(m[x] - m[y], False))
+            if x == y or x in below_m or y in above
+            or (x not in above and zone.implies(x, y, m[x] - m[y], False))
         )
         for y in clocks
     }
@@ -173,7 +158,7 @@ def _cell(zone: Zone, memo: tuple, y: frozenset[str]) -> tuple[Zone, Zone] | Non
     if entry is _UNBUILT:
         cell = restrict_y(zone, y, memo[0])
         if cell is zone:
-            cell = Zone(zone.clocks, zone.m)
+            cell = zone.project(zone.clocks)  # an equal copy
         entry = None
         if not cell.is_empty:
             entry = (cell, cell.project([c for c in zone.clocks if c in y]))

@@ -210,6 +210,10 @@ class Network:
             # product zones are over the network's clocks: check each component against them
             if a.clocks != self.clocks:
                 raise ModelError(f"automaton {a.name}: clocks {a.clocks} are not the network's")
+            # the product names a location vector by joining its names with ','
+            for l in a.locations:
+                if "," in l.name:
+                    raise ModelError(f"automaton {a.name}: location name '{l.name}' contains ','")
             used = {atom.clock for l in a.locations for atom in l.invariant}
             for e in a.edges:
                 used.update(atom.clock for atom in e.guard)

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .dbm import (
-    INF,
-    NEG_INF,
-    EmptyZoneError,
-    Zone,
-    bound_value,
-    inf_affine,
-    sup_affine,
-)
+from .dbm import NEG_INF, POS_INF, EmptyZoneError, Zone, inf_affine, sup_affine
 
 
 @dataclass(frozen=True)
@@ -249,19 +241,16 @@ def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
     if d == 0:
         return [PricedZone(up, pz.cost)]
 
-    n = len(zone.clocks) + 1
     closed = zone.closure()
     pieces: list[PricedZone] = []
     faces: set[Zone] = set()
     fixed = False
     for x in zone.clocks:
-        i = zone.idx(x)
-        e_up, e_lo = zone.m[i * n], zone.m[i]  # x <= ub, -x <= -lb
-        fixed = fixed or (e_up < INF and bound_value(e_up) == -bound_value(e_lo))
-        e = e_up if d > 0 else e_lo
-        if e >= INF:
+        lower, upper = zone.clock_bounds(x)
+        fixed = fixed or lower == upper
+        b = upper if d > 0 else lower
+        if b == POS_INF:
             continue
-        b = bound_value(e) if d > 0 else -bound_value(e)
         face = closed.intersect([(x, None, b, False), (None, x, -b, False)])
         if face in faces:
             continue

@@ -150,6 +150,17 @@ def test_option_conflict_exit_2(capsys):
     assert "negative" in err
 
 
+def test_hint_conflicts_with_no_prune(capsys):
+    # a hint prunes, so --no-prune --hint pruned anyway: the stats were those
+    # of --hint alone
+    code = main([str(MODELS / "als_hold.wta"), "--strategy", "bfs", "--no-prune",
+                 "--hint", "100"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--hint" in captured.err and "--no-prune" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("option, value", [
     ("--witness", "0"), ("--witness", "-1/2"), ("--cap", "-3"), ("--timeout", "-0.5"),
 ])

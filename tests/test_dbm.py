@@ -36,7 +36,8 @@ XY = ("x", "y")
 
 def entry(z: Zone, a: str | None, b: str | None) -> int:
     """The encoded bound on ``a - b`` (None = reference clock)."""
-    return z.entry(0 if a is None else z.idx(a), 0 if b is None else z.idx(b))
+    n = len(z.clocks) + 1
+    return z.m[(0 if a is None else z.idx(a)) * n + (0 if b is None else z.idx(b))]
 
 
 def fig4_zone() -> Zone:
@@ -326,7 +327,8 @@ def test_facets_are_the_reference_facets_without_repeats():
     # first pivot the reference loop offers for it; the draws with repeats
     # include fixed clocks, zero-cycle classes and strict bounds
     def fixed(z, i, j):
-        return bound_value(z.entry(i, j)) + bound_value(z.entry(j, i)) == 0
+        n = len(z.clocks) + 1
+        return bound_value(z.m[i * n + j]) + bound_value(z.m[j * n + i]) == 0
 
     rng = random.Random(20261021)
     repeats = Counter()
@@ -536,7 +538,7 @@ def merges_a_class(z: Zone) -> bool:
     """The closure fixes some node at a constant offset from another."""
     n = len(z.clocks) + 1
     return any(
-        bound_value(z.entry(i, j)) + bound_value(z.entry(j, i)) == 0
+        bound_value(z.m[i * n + j]) + bound_value(z.m[j * n + i]) == 0
         for i in range(n) for j in range(i + 1, n)
     )
 
@@ -766,3 +768,65 @@ def test_sup_affine_closed_forms_hand_cases(monkeypatch):
     # a mixed-sign objective that is not a difference still reaches the flow
     assert sup_affine(z, {"x": 2, "y": -1}) == (2, {"x": 2, "y": 2})
     assert len(flows) == 1
+
+
+def test_zone_queries_match_their_definitions_random():
+    # implies, clock_bounds and delay_interval against intersection, the LP
+    # and membership, on zones with strict bounds and fixed clocks
+    rng = random.Random(20261022)
+    clocks = ("x", "y", "z")
+    nodes = (None,) + clocks
+    step = F(1, 1000)
+    for k in range(120):
+        z = lower_dimensional_zone(rng, clocks, 3) if k % 2 else random_zone(rng, clocks, 4)
+        for a in nodes:
+            for b in nodes:
+                for value in range(-5, 6):
+                    for strict in (False, True):
+                        negated = z.intersect([(b, a, -value, not strict)])
+                        assert z.implies(a, b, value, strict) == negated.is_empty, (k, a, b)
+        for c in clocks:
+            lower, upper = z.clock_bounds(c)
+            assert lower == inf_affine(z, {c: 1})[0] == -sup_affine(z, {c: -1})[0], (k, c)
+            assert upper == sup_affine(z, {c: 1})[0] == -inf_affine(z, {c: -1})[0], (k, c)
+        assert z.contains(z.sample_point()), k
+        v = random_point(rng, z.up())
+        lo, lo_strict, hi, hi_strict = z.delay_interval(v)
+
+        def inside(t):
+            return z.contains({c: v[c] - t for c in clocks})
+
+        assert 0 <= lo <= hi and (lo < hi or not (lo_strict or hi_strict)), k
+        assert inside(lo) == (not lo_strict) and inside(hi) == (not hi_strict), k
+        if lo < hi:
+            assert inside(lo + (hi - lo) * step) and inside(hi - (hi - lo) * step), k
+        assert not inside(hi + step), k
+        assert lo == 0 or not inside(lo - step), k
+
+
+def test_zone_queries_on_the_empty_zone():
+    # the empty zone implies every constraint, as its intersection with the
+    # negated one is empty, and has no bounds or delays
+    z = Zone.empty(XY)
+    assert all(
+        z.implies(a, b, value, strict) and z.intersect([(b, a, -value, not strict)]).is_empty
+        for a in (None, "x", "y") for b in (None, "x", "y")
+        for value in (-3, 0, 3) for strict in (False, True)
+    )
+    with pytest.raises(EmptyZoneError):
+        z.clock_bounds("x")
+    with pytest.raises(EmptyZoneError):
+        z.delay_interval({"x": 1, "y": 2})
+
+
+def test_sample_point_stays_exact_with_large_constants():
+    # an unbounded clock feeds a diagonal bound near 2**55: the midpoints
+    # must stay Fractions, as floats would round the point out of the zone
+    big = 2 ** 55
+    z = Zone.from_constraints(("x", "y", "z"), [
+        ("y", "x", big + 2, False), ("y", None, 4 * big, False),
+        ("z", "y", 1, False), ("y", "z", -1, False),
+    ])
+    v = z.sample_point()
+    assert all(type(val) is F for val in v.values()), v
+    assert z.contains(v), v

@@ -10,7 +10,7 @@ import pytest
 from conftest import MODELS, landing_network_text, load_automaton
 from grid_oracles import fm_minimize, zone_constraints
 from zonecost import cli, dbm, explorer, inclusion, priced
-from zonecost.dbm import NEG_INF, POS_INF, Zone, encode
+from zonecost.dbm import NEG_INF, POS_INF, Zone
 from zonecost.explorer import (
     STRATEGIES,
     Config,
@@ -71,9 +71,9 @@ def test_symbolic_post_fig2right_family():
         succ = [t for t in symbolic_post(a, s) if t.location == "l0"]
         assert len(succ) == 1
         (s,) = succ
-        x, y = s.pz.zone.idx("x"), s.pz.zone.idx("y")
-        assert s.pz.zone.entry(y, x) == encode(n, False)
-        assert s.pz.zone.entry(x, y) == encode(-n, False)
+        z = s.pz.zone  # y - x <= n and x - y <= -n are both tight
+        assert z.implies("y", "x", n, False) and not z.implies("y", "x", n, True)
+        assert z.implies("x", "y", -n, False) and not z.implies("x", "y", -n, True)
 
 
 def test_explore_costs_match_known_values(corpus):

@@ -382,6 +382,10 @@ def _two_locations(edge, clocks=("x",), invariant=(), name="a"):
     pytest.param(lambda: Network((_two_locations(Edge("l0", "l1"), clocks=("y",)),), ("x",)),
                  "are not the network's", id="component-clocks"),
     pytest.param(lambda: Network((), ("x",)), "at least one automaton", id="empty-network"),
+    pytest.param(lambda: Network((
+        Automaton("a", ("x",), (Location("p,q", 0, initial=True),), ()),
+        _two_locations(Edge("l0", "l1"), name="b"),
+    ), ("x",)), "location name 'p,q' contains ','", id="comma-in-location"),
 ])
 def test_code_built_models_are_checked_at_construction(build, message):
     # the constructors check every rule the parser does, so none of these

@@ -84,6 +84,22 @@ def test_traced_names_stay_bound():
     assert missing == []
 
 
+def test_only_dbm_reads_the_matrix():
+    # a zone answers questions about its bounds (implies, clock_bounds,
+    # delay_interval); the matrix and its bound encoding are dbm's alone
+    encoding = {"INF", "encode", "bound_value", "bound_is_strict", "LE_ZERO", "EMPTY_ENTRY"}
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "dbm.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if (isinstance(node, ast.ImportFrom) and node.module == "dbm"
+            and any(alias.name in encoding for alias in node.names))
+        or (isinstance(node, ast.Attribute) and node.attr in encoding | {"m"})
+    ]
+    assert found == []
+
+
 def test_only_the_model_matches_edges_to_locations():
     # Automaton.leaving answers which edges leave a location; a comparison
     # with an edge's source elsewhere is a scan of its own
