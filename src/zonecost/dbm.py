@@ -398,6 +398,44 @@ class Zone:
                 out.append(Facet(zone, (other, pivot_value)))
         return out
 
+    def dominant_pivot(self, axis: str | None, kind: str) -> tuple[str | None, int] | None:
+        """The pivot of the first bound of ``axis`` of this kind that implies
+        every other finite one on the closure, or None when no bound does.
+
+        ``axis`` is a clock, or None for the reference clock, whose lower
+        bounds ``0 - y >= value`` are the clocks' upper bounds and whose upper
+        bounds are their lower bounds.  The pivot ``(other, value)`` reads as
+        in :class:`Facet`, with ``axis - other = value`` on the facet; order
+        is that of :meth:`facets`, the reference clock, then declaration
+        order.  The bound ``axis >= j + p_j`` implies ``axis >= k + p_k``
+        exactly when ``x_k - x_j <= p_j - p_k`` holds throughout, which the
+        canonical entry m_kj decides, so each candidate costs O(n) reads and
+        builds no zone.  Its facet then contains every other lower facet, as
+        ``z_axis = z_k + p_k <= z_j + p_j <= z_axis`` on facet k: it is the
+        first facet of :meth:`facets` whose zone contains all the others.
+        Upper bounds mirror this.  Raises :class:`EmptyZoneError` on the
+        empty zone, as :meth:`facets` does.
+        """
+        if kind not in ("lower", "upper"):
+            raise ValueError("kind must be 'lower' or 'upper'")
+        if self._empty:
+            raise EmptyZoneError("bounds of an empty zone")
+        n = len(self.clocks) + 1
+        m = self.m
+        a = 0 if axis is None else self.idx(axis)
+        # entry (i, j) is m_ij for lower bounds, m_ji for upper ones: the
+        # transposed matrix bounds the negated points, whose lower bound
+        # axis - j >= -q_j is the upper bound axis - j <= q_j
+        r, c = (n, 1) if kind == "lower" else (1, n)
+        # axis - j >= p_j, and j's bound is the highest when m_kj <= p_j - p_k
+        bounds = [(j, -bound_value(m[j * r + a * c]))
+                  for j in range(n) if j != a and m[j * r + a * c] < INF]
+        for j, pj in bounds:
+            if all(k == j or (m[k * r + j * c] < INF and bound_value(m[k * r + j * c]) <= pj - pk)
+                   for k, pk in bounds):
+                return (None if j == 0 else self.clocks[j - 1]), (pj if kind == "lower" else -pj)
+        return None
+
     # -- vertices --------------------------------------------------------------
 
     def vertices(self) -> list[dict[str, int]]:

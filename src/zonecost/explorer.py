@@ -55,6 +55,14 @@ class WitnessError(RuntimeError):
 
 @dataclass(frozen=True)
 class Config:
+    """Exploration settings.
+
+    A ``hint``, a known upper bound on the optimal cost, turns pruning on:
+    with one set, :func:`explore` prunes by the best cost found so far and
+    by the hint even when ``pruning`` is False, its default.  The CLI
+    rejects ``--hint`` with ``--no-prune`` for that reason.
+    """
+
     inclusion: str = "abstract"  # "abstract" | "simple"
     strategy: str = "best"  # one of STRATEGIES
     pruning: bool = False

@@ -239,6 +239,12 @@ def facet_reduce(pz: PricedZone, y: frozenset[str] | set[str]) -> list[tuple[Zon
     ``c_x >= 0``; upper facets serve ``c_x < 0`` alike.  Each piece of one
     parent is then the fiber minimum on its whole closed domain, and
     dominance between them is zone containment.
+
+    As in ``priced.reset_successors``, a bound of x that implies all the
+    others of its kind (:meth:`Zone.dominant_pivot`) has the facet that
+    contains every other one and meets every fiber, so its projection is
+    the closure's: that one piece, which the containment pass would keep
+    alone, is built directly, with no facet zone.
     """
     if pz.cost.minus_infinity:
         raise LowerBoundViolation("facet reduction of the -oo cost")
@@ -249,10 +255,16 @@ def facet_reduce(pz: PricedZone, y: frozenset[str] | set[str]) -> list[tuple[Zon
             continue
         nxt: list[list[PricedZone]] = []
         for p in pieces:
-            facets = p.zone.facets(x, "lower" if p.cost.coeff(x) >= 0 else "upper")
+            kind = "lower" if p.cost.coeff(x) >= 0 else "upper"
+            remaining = [c for c in p.clocks if c != x]
+            dominant = p.zone.dominant_pivot(x, kind)
+            if dominant is not None:
+                nxt.append([PricedZone(p.zone.closure().project(remaining),
+                                       p.cost.substitute(x, *dominant, drop=True))])
+                continue
+            facets = p.zone.facets(x, kind)
             if not facets:  # x >= 0 is a lower facet: x is unbounded and the cost falls
                 raise LowerBoundViolation(f"the cost decreases along {x} without bound")
-            remaining = [c for c in p.clocks if c != x]
             nxt.append([
                 PricedZone(facet.zone.project(remaining),
                            p.cost.substitute(x, *facet.pivot, drop=True))

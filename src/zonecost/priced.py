@@ -232,6 +232,18 @@ def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
     the same argument holds with lower bounds.  Equal faces give equal
     pieces, so a face equal to an earlier one is skipped before its piece
     is built.
+
+    Often one clock's bound implies all the others (:meth:`Zone.dominant_pivot`
+    of the reference clock, whose lower bounds are the clocks' upper bounds
+    and whose upper bounds are their lower bounds).  For d > 0, when x's
+    bound implies y's, ``z_y - z_x <= b_y - b_x`` holds in closure(Z), so
+    on y's face ``b_x >= z_x >= b_x``: x's face contains y's, its piece
+    contains y's piece, and the containment pass would keep x's piece
+    alone.  Then only that piece is built, without the pass: Z and it never
+    contain each other, since the piece holds points above Z, and Z lies
+    above x's face only when x is fixed.  A fixed clock's face is all of
+    closure(Z), which only a dominant face contains, so a clock is fixed
+    exactly when the dominant one is.
     """
     zone = pz.zone
     if zone.is_empty:
@@ -243,14 +255,24 @@ def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
 
     closed = zone.closure()
     pieces: list[PricedZone] = []
-    faces: set[Zone] = set()
-    fixed = False
-    for x in zone.clocks:
+    # the reference clock's lower bounds are the clocks' upper bounds
+    dominant = zone.dominant_pivot(None, "lower" if d > 0 else "upper")
+    if dominant is not None:
+        x, value = dominant
         lower, upper = zone.clock_bounds(x)
-        fixed = fixed or lower == upper
-        b = upper if d > 0 else lower
-        if b == POS_INF:
-            continue
+        bounds = [(x, -value)]
+        fixed = lower == upper
+    else:
+        bounds = []
+        fixed = False
+        for x in zone.clocks:
+            lower, upper = zone.clock_bounds(x)
+            fixed = fixed or lower == upper
+            b = upper if d > 0 else lower
+            if b != POS_INF:
+                bounds.append((x, b))
+    faces: set[Zone] = set()
+    for x, b in bounds:
         face = closed.intersect([(x, None, b, False), (None, x, -b, False)])
         if face in faces:
             continue
@@ -260,7 +282,7 @@ def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
             pieces.append(PricedZone(piece_zone, pz.cost.shear(x, d, b)))
     if d > 0 and not fixed:
         pieces.insert(0, pz)
-    return _dedup([pieces])
+    return pieces if dominant is not None else _dedup([pieces])
 
 
 def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
@@ -278,6 +300,15 @@ def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
     it is the fiber's lowest point, which is the minimum when ``c_x >= 0``;
     upper facets serve ``c_x < 0`` alike.  One parent yields either one -oo
     piece or only finite ones.
+
+    Often one bound of x implies all the others of its kind
+    (:meth:`Zone.dominant_pivot`).  Its facet then contains every other
+    one, as ``z_x = z_k + p_k <= z_j + p_j <= z_x`` on facet k for lower
+    bounds, so it meets every fiber: its piece is the whole image, and the
+    containment pass would keep it alone.  That piece is built directly,
+    with no facet zone.  A piece that equals it comes from a facet meeting
+    every fiber, whose bound is dominant too, so the first dominant bound
+    in :meth:`Zone.facets`' order gives the piece the pass keeps first.
     """
     if pz.zone.is_empty:
         raise EmptyZoneError("reset of an empty priced zone")
@@ -292,9 +323,13 @@ def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:
             if piece.cost.minus_infinity:
                 group.append(PricedZone(image, piece.cost))
                 continue
-            cx = piece.cost.coeff(x)
+            kind = "lower" if piece.cost.coeff(x) >= 0 else "upper"
+            dominant = piece.zone.dominant_pivot(x, kind)
+            if dominant is not None:
+                group.append(PricedZone(image, piece.cost.substitute(x, *dominant, drop=False)))
+                continue
             # x >= 0 is a lower facet, so only an unbounded fiber has none
-            facets = piece.zone.facets(x, "lower" if cx >= 0 else "upper")
+            facets = piece.zone.facets(x, kind)
             if not facets:
                 group.append(PricedZone(image, AffineCost.bottom(piece.clocks)))
                 continue

@@ -355,6 +355,42 @@ def test_facets_are_the_reference_facets_without_repeats():
     assert min(repeats.values()) >= 30, repeats
 
 
+def test_dominant_pivot_is_the_first_facet_containing_the_others():
+    # for a clock, the pivot of the first facet whose zone contains every
+    # other facet zone, None when no facet does; for the reference clock,
+    # the same over the faces closure & {x = b} that delay builds from the
+    # clocks' upper bounds (lower kind) or lower bounds (upper kind), whose
+    # pivot x - 0 = b reads (x, -b) from the reference clock's side
+    def first_covering(candidates):
+        for zone, pivot in candidates:
+            if all(other.subset(zone) for other, _ in candidates):
+                return pivot
+        return None
+
+    rng = random.Random(20261023)
+    found = Counter()
+    for k in range(240):
+        clocks = ("w", "x", "y", "z")[: 1 + k % 4]
+        z = lower_dimensional_zone(rng, clocks, 3) if k % 2 else random_zone(rng, clocks, 4)
+        closed = z.closure()
+        for kind in ("lower", "upper"):
+            for axis in clocks:
+                want = first_covering([(f.zone, f.pivot) for f in z.facets(axis, kind)])
+                assert z.dominant_pivot(axis, kind) == want, (z, axis, kind)
+                found[kind, want is not None] += 1
+            faces = []
+            for x in clocks:
+                lower, upper = z.clock_bounds(x)
+                b = upper if kind == "lower" else lower
+                if b != POS_INF:
+                    face = closed.intersect([(x, None, b, False), (None, x, -b, False)])
+                    faces.append((face, (x, -b)))
+            want = first_covering(faces)
+            assert z.dominant_pivot(None, kind) == want, (z, kind)
+            found["reference", kind, want is not None] += 1
+    assert len(found) == 8 and min(found.values()) >= 20, found
+
+
 def test_sup_affine_fig4_values():
     cell = fig4_cell()
     assert sup_affine(cell, {"x": F(1), "y": F(1)}) == (F(5), {"x": 2, "y": 3})
@@ -806,7 +842,7 @@ def test_zone_queries_match_their_definitions_random():
 
 def test_zone_queries_on_the_empty_zone():
     # the empty zone implies every constraint, as its intersection with the
-    # negated one is empty, and has no bounds or delays
+    # negated one is empty, and has no bounds, delays or dominant bounds
     z = Zone.empty(XY)
     assert all(
         z.implies(a, b, value, strict) and z.intersect([(b, a, -value, not strict)]).is_empty
@@ -817,6 +853,10 @@ def test_zone_queries_on_the_empty_zone():
         z.clock_bounds("x")
     with pytest.raises(EmptyZoneError):
         z.delay_interval({"x": 1, "y": 2})
+    # like its facets, an empty zone has no dominant bound to ask for
+    for axis in (None, "x"):
+        with pytest.raises(EmptyZoneError):
+            z.dominant_pivot(axis, "lower")
 
 
 def test_sample_point_stays_exact_with_large_constants():

@@ -34,6 +34,12 @@ def fig4_priced(const=0, coeffs=None) -> PricedZone:
     return PricedZone(z, AffineCost.of(XY, coeffs or {}, const))
 
 
+def without_dominant_bounds(monkeypatch):
+    """Make every elimination and delay take the loop over all facets, as if
+    no bound implied the others."""
+    monkeypatch.setattr(Zone, "dominant_pivot", lambda zone, axis, kind: None)
+
+
 def test_evaluate():
     assert AffineCost.zero(XY).evaluate({"x": 3, "y": 4}) == 0
     assert AffineCost.of(("x",), {"x": 5}).evaluate({"x": F(1, 10)}) == F(1, 2)
@@ -185,7 +191,8 @@ def test_delay_pivots_on_clock_bounds_not_facets(monkeypatch):
 
 def test_delay_fixed_clock_drops_the_zone_piece(monkeypatch):
     # x = 2 in Z, so the piece of x's upper bound covers Z exactly and Z is
-    # not even a candidate piece for the containment pass
+    # not even a candidate piece for the loop's containment pass
+    without_dominant_bounds(monkeypatch)
     compared = []
     subset = Zone.subset
     monkeypatch.setattr(
@@ -246,6 +253,7 @@ def test_reset_unbounded_negative_gives_bottom():
 def test_reset_skips_facets_through_a_clock_reset_earlier(monkeypatch):
     # x is reset first, so y's lower facet y - x = 0 is the zone of y = 0:
     # Zone.facets offers only the first, while both lower facets of x are
+    without_dominant_bounds(monkeypatch)
     offered, used = [], []
     facets, substitute = Zone.facets, AffineCost.substitute
 
@@ -324,12 +332,9 @@ def _outcome(call):
         return LowerBoundViolation
 
 
-def test_one_parent_steps_match_the_cost_comparing_pass(monkeypatch):
-    # _dedup compares no costs between pieces of one parent: delay and every
-    # reset or facet-reduction step that starts from one piece deduplicate by
-    # containment alone.  With the all-pairs cost-comparing pass in its place
-    # every call returns the same pieces in the same order
-    rng = random.Random(20261019)
+def _one_parent_calls(rng: random.Random) -> list[tuple]:
+    """Delay at rates -4..4, two resets and a facet reduction of every cell,
+    on 160 priced zones of 1-4 clocks, every eighth with the -oo cost."""
     calls = []
     for k in range(160):
         clocks = ("w", "x", "y", "z")[: 1 + k % 4]
@@ -345,6 +350,17 @@ def test_one_parent_steps_match_the_cost_comparing_pass(monkeypatch):
             cell = restrict_y(zone, y, m)
             if not cell.is_empty:
                 calls.append((facet_reduce, PricedZone(cell, cost), y))
+    return calls
+
+
+def test_one_parent_steps_match_the_cost_comparing_pass(monkeypatch):
+    # _dedup compares no costs between pieces of one parent: delay and every
+    # reset or facet-reduction step that starts from one piece deduplicate by
+    # containment alone.  With the all-pairs cost-comparing pass in its place
+    # every call returns the same pieces in the same order.  The loop over
+    # all facets is what drops pieces, so no bound is taken as dominant
+    without_dominant_bounds(monkeypatch)
+    calls = _one_parent_calls(random.Random(20261019))
     # the pieces one-parent steps drop by containment alone, and the steps
     # whose pieces come from several parents
     dropped, several = Counter(), Counter()
@@ -378,11 +394,42 @@ def test_one_parent_steps_match_the_cost_comparing_pass(monkeypatch):
     assert min(several[f] for f in (reset_successors, facet_reduce)) >= 10, several
 
 
+def test_dominant_bounds_give_the_pieces_of_the_loop(monkeypatch):
+    # a bound implying every other of its kind has the facet (or delay face)
+    # that contains all the others, so its one piece is all that the loop
+    # over every facet and the containment pass keep: each call returns the
+    # same pieces in the same order, or raises the same LowerBoundViolation,
+    # when the query never finds a dominant bound
+    calls = _one_parent_calls(random.Random(20261019))
+    dominant = Zone.dominant_pivot
+    # per function, the steps that found a dominant bound and those that did not
+    found = Counter()
+    current = []
+
+    def counting(zone, axis, kind):
+        pivot = dominant(zone, axis, kind)
+        found[current[-1], pivot is not None] += 1
+        return pivot
+
+    monkeypatch.setattr(Zone, "dominant_pivot", counting)
+    got = []
+    for call in calls:
+        current.append(call[0])
+        got.append(_outcome(call))
+    without_dominant_bounds(monkeypatch)
+    assert [_outcome(call) for call in calls] == got
+    assert got.count(LowerBoundViolation) >= 10
+    assert min(found[f, taken] for f in (delay_successors, reset_successors, facet_reduce)
+               for taken in (True, False)) >= 50, found
+
+
 def test_facet_callers_match_the_facets_with_repeats(monkeypatch):
     # no caller is offered a facet zone twice, and with every tight entry's
     # facet offered, repeats included, each call returns the same result:
     # equal facet zones of one parent give equal pieces and _dedup keeps the
-    # first, and vertices collect points in a set
+    # first, and vertices collect points in a set.  Only the loop over all
+    # facets is offered them, so no bound is taken as dominant
+    without_dominant_bounds(monkeypatch)
     rng = random.Random(20261021)
     calls = []
     for k in range(160):
