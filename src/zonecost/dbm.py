@@ -216,14 +216,43 @@ class Zone:
             return self
         return Zone(self.clocks, mat)
 
-    def up(self) -> "Zone":
-        """Delay closure: drop individual upper bounds (stays canonical)."""
+    def up(self, invariant: Iterable[tuple[str | None, str | None, int, bool]] = ()) -> "Zone":
+        """Delay closure within an invariant: up(Z) & I in one O(n*k) pass.
+
+        ``invariant`` holds constraints ``a - b (<|<=) value`` that the zone
+        already satisfies, else :class:`ValueError`; only its ceilings
+        ``x (<|<=) c_x`` bound a delay, as delays keep differences and lower
+        bounds.  So only column 0 changes: clock i's upper bound becomes
+        m'_i0 = min_j (m_ij + c_j) over the capped clocks j (with m_ii = 0),
+        +oo without ceilings.  That is the shortest path i -> j -> 0 through
+        one ceiling arc, and the result stays canonical: a path through a
+        ceiling arc j -> 0 and back into the zone is no shorter than the
+        zone's own bound, as m_0b + c_j >= m_0b + m_j0 and m_ab <= m_aj +
+        m_j0 + m_0b, and two ceiling arcs are never shorter than one, as
+        m_0k + c_k >= 0.
+        """
         if self._empty:
             return self
         n = len(self.clocks) + 1
-        mat = list(self.m)
+        m = self.m
+        caps: list[tuple[int, int]] = []  # (clock index, encoded ceiling)
+        for a, b, value, strict in invariant:
+            i = 0 if a is None else self.idx(a)
+            j = 0 if b is None else self.idx(b)
+            e = encode(value, strict)
+            if m[i * n + j] > e:
+                raise ValueError("the zone breaks the invariant it is delayed in")
+            if j == 0 and i != 0:
+                caps.append((i, e))
+        mat = list(m)
         for i in range(1, n):
-            mat[i * n + 0] = INF
+            row = i * n
+            top = INF
+            for j, c in caps:
+                e = bound_add(m[row + j], c)
+                if e < top:
+                    top = e
+            mat[row] = top
         return Zone(self.clocks, mat)
 
     def reset(self, resets: Sequence[str]) -> "Zone":

@@ -104,17 +104,13 @@ class Verdict:
 
 def _arrive(loc: Location, pz: PricedZone, parent: SymbolicState | None = None,
             edge_index: int | None = None) -> list[SymbolicState]:
-    """States entering ``loc`` with ``pz``: invariant, delay, invariant."""
+    """States entering ``loc`` with ``pz``: invariant, delay within the invariant."""
     inv = guard_constraints(loc.invariant)
     entry = constrain(pz, inv)
     if entry is None:
         return []
-    out = []
-    for delayed in delay_successors(entry, loc.rate):
-        settled = constrain(delayed, inv)
-        if settled is not None:
-            out.append(SymbolicState(loc.name, settled, entry, parent, edge_index))
-    return out
+    return [SymbolicState(loc.name, delayed, entry, parent, edge_index)
+            for delayed in delay_successors(entry, loc.rate, inv)]
 
 
 def symbolic_post(a: Automaton | Product, s: SymbolicState) -> list[SymbolicState]:
@@ -272,16 +268,17 @@ def explore(
 # -- witness extraction ------------------------------------------------------------
 
 
-def _pick_point(zone: Zone, cost: AffineCost,
-                budget: Fraction) -> dict[str, int | Fraction]:
-    """A point of the zone whose cost is within ``budget`` of the infimum.
+def _pick_point(zone: Zone, cost: AffineCost, budget: Fraction,
+                unbounded: type[Exception] = WitnessError) -> dict[str, int | Fraction]:
+    """A point of the zone whose cost is within ``budget`` of the infimum;
+    raises ``unbounded`` when the cost has none.
 
     The LP vertex is integral and returned as is when the zone holds it;
     only a vertex on a strict bound is moved towards an interior point.
     """
     _, v = inf_affine(zone, cost.coeff_map(), cost.const)
     if v is None:
-        raise WitnessError("cost must be bounded below on a witness zone")
+        raise unbounded("cost must be bounded below on a witness zone")
     if zone.contains(v):
         return v
     interior = zone.sample_point()
@@ -344,7 +341,7 @@ def extract_witness(a: Automaton | Product, state: SymbolicState, eps: Fraction)
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if mincost(state.pz) == NEG_INF:
+    if state.pz.cost.minus_infinity:
         raise ValueError("no finite witness: cost diverges to -oo")
     chain: list[SymbolicState] = []
     cur: SymbolicState | None = state
@@ -354,7 +351,8 @@ def extract_witness(a: Automaton | Product, state: SymbolicState, eps: Fraction)
     chain.reverse()
     budget = Fraction(eps) / (2 * len(chain) + 3)
 
-    v = _pick_point(state.pz.zone, state.pz.cost, budget)
+    # a cost unbounded below on the zone is the caller's error, not a bug
+    v = _pick_point(state.pz.zone, state.pz.cost, budget, ValueError)
     delays: list[int | Fraction] = []
     for s in reversed(chain):
         rate = a.location(s.location).rate

@@ -211,78 +211,90 @@ def _dedup(groups: list[list[PricedZone]]) -> list[PricedZone]:
     return [p for _, p in out]
 
 
-def delay_successors(pz: PricedZone, rate: int) -> list[PricedZone]:
-    """Pieces covering up(Z) whose pointwise minimum is the optimal delay cost.
+def delay_successors(pz: PricedZone, rate: int,
+                     invariant: Sequence[tuple[str | None, str | None, int, bool]] = ()
+                     ) -> list[PricedZone]:
+    """Pieces covering up(Z) & I whose pointwise minimum is the optimal
+    delay cost, for an invariant I that Z satisfies.
 
     Reaching w by a delay t costs ``cost(w) + d * t`` with ``d = rate -
     slope``, the slope being the cost's along the diagonal, so the optimum
     takes the shortest delay when d > 0 and the longest when d < 0.
     Followed backward along the diagonal, a point leaves Z through a clock's
     own bound: an upper bound ``x = b`` when d > 0, a lower bound otherwise.
-    Each bound gives the piece ``up(closure(Z) & {x = b}) & up(Z)`` with the
-    cost sheared along x (Larsen et al., CAV 2001); Z itself leads the pieces
-    of an increasing cost unless a clock is fixed in Z, which the bound
-    pieces then cover.
+    Each bound gives the piece of the points that leave through it, with
+    the cost sheared along x (Larsen et al., CAV 2001); Z itself leads the
+    pieces of an increasing cost unless a clock is fixed in Z, which the
+    bound pieces then cover.  Z satisfies I, and a delay keeps differences
+    and lower bounds, so I only caps the delay: the pieces within I are the
+    pieces cut by I (:meth:`Zone.up`).
 
+    Each piece is a cut of up(Z), not built from a face.  Take d > 0 and
+    w in up(Z), so w - s lies in Z for some s >= 0.  Going back from w, the
+    diagonal enters closure(Z) through the clock x that maximises
+    ``w_x - b_x``: at t = w_x - b_x every bounded y has ``w_y - t <= b_y``,
+    and t <= s keeps the lower bounds and differences of w - s.  So x's
+    piece, the points of up(Z) whose backward diagonal meets x's face, is
+    ``up(Z) & {x >= b_x} & {x - y >= b_x - b_y for each bounded y}``; it
+    is optimal on its whole closed domain, since any shorter delay puts x
+    above b_x, and Z, at delay 0, is optimal too.  For d < 0 the diagonal
+    leaves through the clock that minimises ``w_x - l_x`` over the lower
+    bounds l, and x's piece is ``up(Z) & {x - y <= l_x - l_y for each y}``.
     Every piece is the optimum on its whole closed domain, so containment
-    alone deduplicates them (:func:`_dedup`, one parent).  For d > 0 the point
-    on the face x = b is the first point of closure(Z) met going back along
-    the diagonal, because any shorter delay puts x above b, so the sheared
-    cost is the optimum; Z itself, at delay 0, is optimal too.  For d < 0
-    the same argument holds with lower bounds.  Equal faces give equal
-    pieces, so a face equal to an earlier one is skipped before its piece
-    is built.
+    alone deduplicates them (:func:`_dedup`, one parent), and the invariant
+    cuts the pieces after that pass, as cutting first can change which
+    pieces it keeps.
 
     Often one clock's bound implies all the others (:meth:`Zone.dominant_pivot`
     of the reference clock, whose lower bounds are the clocks' upper bounds
-    and whose upper bounds are their lower bounds).  For d > 0, when x's
-    bound implies y's, ``z_y - z_x <= b_y - b_x`` holds in closure(Z), so
-    on y's face ``b_x >= z_x >= b_x``: x's face contains y's, its piece
-    contains y's piece, and the containment pass would keep x's piece
-    alone.  Then only that piece is built, without the pass: Z and it never
-    contain each other, since the piece holds points above Z, and Z lies
-    above x's face only when x is fixed.  A fixed clock's face is all of
-    closure(Z), which only a dominant face contains, so a clock is fixed
-    exactly when the dominant one is.
+    and whose upper bounds are their lower bounds).  Then the difference
+    cuts of its piece are already implied, ``z_y - z_x <= b_y - b_x`` in
+    Z for d > 0, so the piece is ``U & {x >= b_x}`` with U = up(Z) & I, and
+    the containment pass would keep it alone: Z and it never contain each
+    other, since the piece holds points above Z, and Z lies above x's
+    bound only when x is fixed.  A fixed clock's cut holds all of Z, which
+    only a dominant clock's piece contains, so a clock is fixed exactly
+    when the dominant one is.  For d < 0 the dominant clock's piece is U
+    itself, as every point of up(Z) goes back through x's lower bound.
     """
     zone = pz.zone
     if zone.is_empty:
         raise EmptyZoneError("delay of an empty priced zone")
-    up = zone.up()
     d = 0 if pz.cost.minus_infinity else rate - pz.cost.diagonal_slope()
     if d == 0:
-        return [PricedZone(up, pz.cost)]
+        return [PricedZone(zone.up(invariant), pz.cost)]
 
-    closed = zone.closure()
-    pieces: list[PricedZone] = []
     # the reference clock's lower bounds are the clocks' upper bounds
     dominant = zone.dominant_pivot(None, "lower" if d > 0 else "upper")
     if dominant is not None:
         x, value = dominant
-        lower, upper = zone.clock_bounds(x)
-        bounds = [(x, -value)]
-        fixed = lower == upper
-    else:
-        bounds = []
-        fixed = False
-        for x in zone.clocks:
-            lower, upper = zone.clock_bounds(x)
-            fixed = fixed or lower == upper
-            b = upper if d > 0 else lower
-            if b != POS_INF:
-                bounds.append((x, b))
-    faces: set[Zone] = set()
-    for x, b in bounds:
-        face = closed.intersect([(x, None, b, False), (None, x, -b, False)])
-        if face in faces:
+        within = zone.up(invariant)
+        if d < 0:
+            return [PricedZone(within, pz.cost.shear(x, d, -value))]
+        pieces = [pz] if zone.clock_bounds(x)[0] != -value else []
+        piece_zone = within.intersect([(None, x, value, False)])
+        if not piece_zone.is_empty:
+            pieces.append(PricedZone(piece_zone, pz.cost.shear(x, d, -value)))
+        return pieces
+
+    up = zone.up()
+    bounds = [(x, *zone.clock_bounds(x)) for x in zone.clocks]
+    fixed = any(lower == upper for _, lower, upper in bounds)
+    pieces = [pz] if d > 0 and not fixed else []
+    for x, lx, ux in bounds:
+        if d < 0:
+            b = lx
+            cut = [(x, y, lx - ly, False) for y, ly, _ in bounds if y != x]
+        elif ux != POS_INF:
+            b = ux
+            cut = [(None, x, -ux, False)] + [
+                (y, x, uy - ux, False) for y, _, uy in bounds if y != x and uy != POS_INF]
+        else:
             continue
-        faces.add(face)
-        piece_zone = face.up().intersect_zone(up)
+        piece_zone = up.intersect(cut)
         if not piece_zone.is_empty:
             pieces.append(PricedZone(piece_zone, pz.cost.shear(x, d, b)))
-    if d > 0 and not fixed:
-        pieces.insert(0, pz)
-    return pieces if dominant is not None else _dedup([pieces])
+    return [p for p in (constrain(q, invariant) for q in _dedup([pieces])) if p is not None]
 
 
 def reset_successors(pz: PricedZone, resets: Sequence[str]) -> list[PricedZone]:

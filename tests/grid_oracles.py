@@ -9,8 +9,10 @@ product is listed location by location.  The exceptions are
 :func:`eager_m_cells`, the library's own all-at-once cell loop, kept as the
 reference for the cells that ``inclusion`` now builds on demand,
 :func:`all_pairs_dedup`, the cost-comparing pass kept as the reference for
-``priced._dedup``, and :func:`all_facets`, the facet loop that offers a zone
-once per tight entry, kept as the reference for :meth:`Zone.facets`.
+``priced._dedup``, :func:`all_facets`, the facet loop that offers a zone
+once per tight entry, kept as the reference for :meth:`Zone.facets`, and
+:func:`face_delay`, the delay built from face zones and then cut by the
+invariant, kept as the reference for ``priced.delay_successors``.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from zonecost.dbm import (
-    INF, NEG_INF, EmptyZoneError, Facet, Zone, _close, bound_is_strict, bound_value,
+    INF, NEG_INF, POS_INF, EmptyZoneError, Facet, Zone, _close, bound_is_strict, bound_value,
 )
 from zonecost.inclusion import clock_preorder, restrict_y
 from zonecost.model import Atom, Automaton, Edge, Location, Network
@@ -324,6 +326,54 @@ def all_facets(zone: Zone, axis: str, kind: str) -> list[Facet]:
             value = bound_value(e)
             extra = [(other, axis, -value, False)]
         out.append(Facet(closed.intersect(extra), (other, value)))
+    return out
+
+
+def face_delay(pz: PricedZone, rate: int, invariant=()) -> list[PricedZone]:
+    """The delay pieces of ``pz`` at ``rate`` built from face zones, then cut
+    by the invariant, empty cuts dropped: the construction
+    ``priced.delay_successors`` ran, with the invariant applied by its
+    caller, before it cut up(Z) directly, kept as its reference.
+
+    With ``d = rate - slope`` nonzero, each clock's own bound ``x = b``
+    (upper when d > 0, lower otherwise) gives the piece
+    ``up(closure(Z) & {x = b}) & up(Z)`` with the cost sheared along x; Z
+    leads when d > 0 and no clock is fixed, and a containment pass keeps
+    the first of equal pieces.
+    """
+    zone = pz.zone
+    up = zone.up()
+    d = 0 if pz.cost.minus_infinity else rate - pz.cost.diagonal_slope()
+    pieces = []
+    if d == 0:
+        pieces = [PricedZone(up, pz.cost)]
+    else:
+        closed = zone.closure()
+        fixed = False
+        for x in zone.clocks:
+            lower, upper = zone.clock_bounds(x)
+            fixed = fixed or lower == upper
+            b = upper if d > 0 else lower
+            if b == POS_INF:
+                continue
+            face = closed.intersect([(x, None, b, False), (None, x, -b, False)])
+            piece = face.up().intersect_zone(up)
+            if not piece.is_empty:
+                pieces.append(PricedZone(piece, pz.cost.shear(x, d, b)))
+        if d > 0 and not fixed:
+            pieces.insert(0, pz)
+        kept: list[PricedZone] = []
+        for p in pieces:
+            if any(p.zone.subset(q.zone) for q in kept):
+                continue
+            kept = [q for q in kept if not q.zone.subset(p.zone)]
+            kept.append(p)
+        pieces = kept
+    out = []
+    for p in pieces:
+        z = p.zone.intersect(invariant)
+        if not z.is_empty:
+            out.append(PricedZone(z, p.cost))
     return out
 
 

@@ -201,6 +201,61 @@ def test_up_empty():
     assert Zone.empty(("x",)).up().is_empty
 
 
+def test_up_within_an_invariant_matches_intersection_and_closure():
+    # up(Z) & I in one pass equals up(Z) intersected with I afterwards and the
+    # Floyd-Warshall closure of up(Z)'s matrix with I's bounds in it, for
+    # strict and non-strict ceilings the zone lies under and lower bounds it
+    # already satisfies; without an invariant, column 0 is +oo
+    rng = random.Random(20261022)
+    seen = Counter()
+    for _ in range(300):
+        clocks = ("v", "w", "x", "y", "z")[: rng.randint(1, 5)]
+        n = len(clocks) + 1
+        z = random_zone(rng, clocks, 4)
+        raw = list(z.m)
+        for i in range(1, n):
+            raw[i * n] = INF
+        assert z.up() == z.up(()) == closed_zone(clocks, raw)
+        inv = []
+        for c in clocks:
+            lower, upper = z.clock_bounds(c)
+            if upper != POS_INF and rng.random() < 0.6:
+                slack = rng.randint(0, 2)
+                strict = rng.random() < 0.5 and (slack > 0 or bound_is_strict(entry(z, c, None)))
+                inv.append((c, None, upper + slack, strict))
+                seen["strict" if strict else "non-strict"] += 1
+            if rng.random() < 0.3:
+                inv.append((None, c, -rng.randint(0, lower), False))
+        rng.shuffle(inv)
+        for a, b, value, strict in inv:
+            k = (0 if a is None else z.idx(a)) * n + (0 if b is None else z.idx(b))
+            raw[k] = min(raw[k], encode(value, strict))
+        got = z.up(inv)
+        assert got == z.up().intersect(inv) == closed_zone(clocks, raw)
+        assert z.subset(got)
+        capped = {a for a, _, _, _ in inv}
+        # a clock without a ceiling of its own is capped through a difference
+        seen["capped through a difference"] += any(
+            c not in capped and entry(got, c, None) < INF for c in clocks)
+    assert min(seen.values()) >= 30, seen
+
+
+def test_up_within_an_invariant_edge_cases():
+    ceiling = [("x", None, 1, False)]
+    assert Zone.empty(XY).up(ceiling).is_empty
+    z = Zone.from_constraints(
+        XY, [("x", None, 3, False), (None, "x", -1, False), ("y", None, 2, False)])
+    for broken in ([("x", None, 2, False)], [("x", None, 3, True)], [(None, "x", -2, False)],
+                   [("y", None, 1, False)], [("x", "y", -1, False)]):
+        with pytest.raises(ValueError, match="breaks the invariant"):
+            z.up(broken)
+    # a difference and a lower bound the zone satisfies cap no delay
+    assert z.up([("x", "y", 3, False), (None, "x", -1, False)]) == z.up()
+    # y's ceiling caps x through x - y <= 3
+    assert z.up([("y", None, 4, True)]) == z.up().intersect([("y", None, 4, True)])
+    assert entry(z.up([("y", None, 4, True)]), "x", None) == encode(7, True)
+
+
 def test_reset_point():
     z = Zone.from_constraints(
         XY,

@@ -7,11 +7,12 @@ from fractions import Fraction as F
 import pytest
 
 from grid_oracles import (
-    all_facets, all_pairs_dedup, fiber_min, random_cost, random_point, random_zone,
+    all_facets, all_pairs_dedup, face_delay, fiber_min, random_cost, random_point, random_zone,
 )
 from zonecost import inclusion, priced
 from zonecost.dbm import INF, NEG_INF, Zone, bound_value
 from zonecost.inclusion import LowerBoundViolation, clock_preorder, facet_reduce, restrict_y
+from zonecost.model import Atom, guard_constraints
 from zonecost.priced import (
     AffineCost,
     PricedZone,
@@ -421,6 +422,39 @@ def test_dominant_bounds_give_the_pieces_of_the_loop(monkeypatch):
     assert got.count(LowerBoundViolation) >= 10
     assert min(found[f, taken] for f in (delay_successors, reset_successors, facet_reduce)
                for taken in (True, False)) >= 50, found
+
+
+def test_delay_within_the_invariant_matches_face_zones(monkeypatch):
+    # each piece is a cut of up(Z), with the invariant in the delay, and the
+    # pieces are those of the face zones cut by the invariant afterwards, in
+    # the same order: on zones with strict bounds, fixed clocks and fixed
+    # differences, the -oo cost, and invariants that the zone satisfies
+    rng = random.Random(20261022)
+    dominant = Zone.dominant_pivot
+    found = Counter()
+    monkeypatch.setattr(Zone, "dominant_pivot", lambda zone, axis, kind: found.update(
+        [dominant(zone, axis, kind) is not None]) or dominant(zone, axis, kind))
+    seen = Counter()
+    for k in range(600):
+        clocks = ("w", "x", "y", "z")[: 1 + k % 4]
+        atoms = [Atom(rng.choice(clocks), rng.choice(("<", "<=", "=", ">=")), rng.randint(0, 5))
+                 for _ in range(rng.randint(0, 3))]
+        inv = guard_constraints(atoms)
+        zone = _one_parent_zone(rng, clocks).intersect(inv)
+        if zone.is_empty:
+            continue
+        cost = AffineCost.bottom(clocks) if k % 8 == 7 else random_cost(rng, clocks)
+        pz = PricedZone(zone, cost)
+        for rate in range(-4, 5):
+            got = delay_successors(pz, rate, inv)
+            assert got == face_delay(pz, rate, inv), (pz, rate, inv)
+            seen["calls"] += 1
+            uncut = face_delay(pz, rate)
+            seen["cut by the invariant"] += got != uncut
+            seen["piece dropped by the invariant"] += len(got) < len(uncut)
+    assert seen["calls"] >= 2500, seen
+    assert seen["cut by the invariant"] >= 500 and seen["piece dropped by the invariant"] >= 30, seen
+    assert min(found[True], found[False]) >= 300, found
 
 
 def test_facet_callers_match_the_facets_with_repeats(monkeypatch):
