@@ -365,6 +365,22 @@ class Zone:
             raise EmptyZoneError("delay into an empty zone")
         return self._interval(0, [None] + [v[c] for c in self.clocks])
 
+    def interval(self, clock: str, fixed: Mapping[str, Fraction | int]):
+        """The values of ``clock`` against the clocks that ``fixed`` holds, as
+        ``(lo, lo_strict, hi, hi_strict)``; hi is None when none of them
+        bounds the clock from above.
+
+        Only the clock's own bounds are read, so with every other clock
+        fixed the zone holds a point there exactly when it holds the fixed
+        clocks' differences and the value lies in the interval.
+        """
+        if self._empty:
+            raise EmptyZoneError("interval of an empty zone")
+        vals = [0, *map(fixed.get, self.clocks)]
+        i = self.idx(clock)
+        vals[i] = None
+        return self._interval(i, vals)
+
     def _interval(self, i: int, vals: Sequence[Fraction | int | None]):
         """Node i's feasible values, at least 0, against the nodes whose value
         in ``vals`` is not None: ``(lo, lo_strict, hi, hi_strict)``, hi None

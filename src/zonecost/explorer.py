@@ -30,7 +30,7 @@ from typing import Callable
 
 from .dbm import NEG_INF, POS_INF, Zone, inf_affine
 from .inclusion import includes, simple_includes, uniform_bounds
-from .model import Automaton, Location, Product, Run, edge_from, guard_constraints
+from .model import Automaton, Guard, Location, Product, Run, edge_from, guard_constraints
 from .priced import (
     AffineCost,
     PricedZone,
@@ -304,9 +304,10 @@ def _choose_delay(entry: PricedZone, rate: int, v: dict[str, int | Fraction],
     return t
 
 
-def _fiber_point(parent_zone: Zone, cost: AffineCost, fixed: dict[str, int | Fraction],
-                 budget: Fraction) -> dict[str, int | Fraction]:
-    """Cheapest-within-budget point of the zone matching ``fixed`` coordinates.
+def _lp_fiber_point(parent_zone: Zone, cost: AffineCost, fixed: dict[str, int | Fraction],
+                    budget: Fraction) -> dict[str, int | Fraction]:
+    """Cheapest-within-budget point of the zone matching ``fixed`` coordinates,
+    by an LP over the fiber.
 
     A fractional fixed coordinate is made integral by scaling the zone by
     the denominators' lcm ``d``; with ``d == 1`` the zone and cost are used
@@ -330,14 +331,65 @@ def _fiber_point(parent_zone: Zone, cost: AffineCost, fixed: dict[str, int | Fra
     return w if d == 1 else {c: Fraction(w[c], d) for c in fiber.clocks}
 
 
+def _fiber_point(zone: Zone, guard: Guard, cost: AffineCost,
+                 fixed: dict[str, int | Fraction], budget: Fraction) -> dict[str, int | Fraction]:
+    """Cheapest-within-budget point of the guarded zone matching ``fixed``
+    coordinates: the point :func:`_lp_fiber_point` picks on the zone cut by
+    the guard.
+
+    With at most one free clock the fiber is a point or an interval, read
+    off without an LP.  The free clock takes the end that its cost
+    coefficient favours, the lower one on a tie: the least point of the
+    LP's optimal face.  A strict end moves towards the interval's middle as
+    :func:`_pick_point` moves it; an interval open above has its interior
+    point 1/d above the end, as ``sample_point`` places it on the zone
+    scaled by d.
+    """
+    free = [c for c in zone.clocks if c not in fixed]
+    if len(free) > 1:
+        return _lp_fiber_point(zone.intersect(guard_constraints(guard)), cost, fixed, budget)
+    v = dict(fixed)
+    if free:
+        (c,) = free
+        lo, lo_strict, hi, hi_strict = zone.interval(c, fixed)
+        for atom in guard:
+            if atom.clock != c:
+                continue
+            k, op = atom.const, atom.op
+            if op in ("<", "<=", "=") and (
+                    hi is None or k < hi or (k == hi and op == "<")):
+                hi, hi_strict = k, op == "<"
+            if op in (">", ">=", "=") and (k > lo or (k == lo and op == ">")):
+                lo, lo_strict = k, op == ">"
+        coeff = cost.coeffs[cost.clocks.index(c)]
+        if coeff < 0 and hi is None:
+            raise WitnessError("cost must be bounded below on a witness zone")
+        x, strict = (lo, lo_strict) if coeff >= 0 else (hi, hi_strict)
+        if strict:
+            if hi is None:
+                mid = lo + Fraction(1, lcm(*[f.denominator for f in fixed.values()], 1))
+            else:
+                mid = Fraction(lo + hi, 2)
+            gap = coeff * (mid - x)
+            lam = Fraction(1) if gap <= 0 else min(Fraction(1), budget / gap)
+            x = x + lam * (mid - x)
+        v[c] = x
+    if not (zone.contains(v) and all(atom.holds(v) for atom in guard)):
+        raise WitnessError("reset fiber must meet the guarded parent zone")
+    return v
+
+
 def extract_witness(a: Automaton | Product, state: SymbolicState, eps: Fraction) -> Run:
     """A concrete run reaching the state's location within eps of its mincost.
 
-    Delays are chosen backward along the recorded parent path by exact fiber
-    minimization; strict bounds are approached to within the step budget.
-    Points and delays stay integral until an interpolation off a strict
-    bound, a strict delay or a fractional fiber coordinate makes a fraction;
-    the run's delays are ``Fraction``s.
+    Delays are chosen backward along the recorded parent path.  Each step
+    takes the cheapest point of the parent's fiber at the clocks the edge
+    keeps: read off the reset clock's interval when the edge resets at most
+    one clock, by an LP over the guarded fiber otherwise; strict bounds are
+    approached to within the step budget.  Points and delays stay integral
+    until an interpolation off a strict bound, a strict delay or a
+    fractional fiber coordinate makes a fraction; the run's delays are
+    ``Fraction``s.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -366,9 +418,8 @@ def extract_witness(a: Automaton | Product, state: SymbolicState, eps: Fraction)
         edge = edge_from(a, s.parent.location, s.edge_index)
         if edge is None:
             raise WitnessError("a state's edge must leave its parent's location")
-        guarded = s.parent.pz.zone.intersect(guard_constraints(edge.guard))
         fixed = {c: u[c] for c in a.clocks if c not in edge.resets}
-        v = _fiber_point(guarded, s.parent.pz.cost, fixed, budget)
+        v = _fiber_point(s.parent.pz.zone, edge.guard, s.parent.pz.cost, fixed, budget)
     delays.reverse()
     steps = tuple(
         (Fraction(delays[i]), chain[i + 1].edge_index) for i in range(len(chain) - 1)

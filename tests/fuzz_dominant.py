@@ -40,7 +40,7 @@ import random
 import sys
 from collections import Counter
 
-from grid_oracles import face_delay, random_cost
+from grid_oracles import face_delay, random_cost, random_wide_zone
 from zonecost.dbm import Zone
 from zonecost.inclusion import LowerBoundViolation, clock_preorder, facet_reduce, restrict_y
 from zonecost.model import Atom, guard_constraints
@@ -48,22 +48,6 @@ from zonecost.priced import AffineCost, PricedZone, delay_successors, reset_succ
 
 CLOCKS = tuple("abcdefgh")
 CMAX = 4
-
-
-def random_wide_zone(rng: random.Random, clocks: tuple[str, ...]) -> Zone:
-    """A non-empty zone holding a random integral point v: each bound lies 0-3
-    above v's value, strict only when above it."""
-    v = {c: rng.randint(0, CMAX) for c in clocks}
-    value = {None: 0, **v}
-    cons = []
-    for a in (None,) + clocks:
-        for b in (None,) + clocks:
-            if a == b or rng.random() < 0.6:
-                continue
-            slack = rng.choice((0, 1, 2, 3))
-            cons.append((a, b, value[a] - value[b] + slack, slack > 0 and rng.random() < 0.4))
-    zone = Zone.universal(clocks).intersect(cons)
-    return zone.up() if rng.random() < 1 / 3 else zone
 
 
 def random_invariant(rng: random.Random, zone: Zone) -> tuple[Zone, list]:
@@ -124,7 +108,7 @@ def run(seed: int, zones: int, lo: int, hi: int) -> bool:
 
     for k in range(zones):
         clocks = CLOCKS[: rng.randint(lo, hi)]
-        zone = random_wide_zone(rng, clocks)
+        zone = random_wide_zone(rng, clocks, CMAX)
         cost = AffineCost.bottom(clocks) if k % 8 == 7 else random_cost(rng, clocks)
         for axis in clocks:
             for kind in ("lower", "upper"):

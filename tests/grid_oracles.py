@@ -10,9 +10,12 @@ product is listed location by location.  The exceptions are
 reference for the cells that ``inclusion`` now builds on demand,
 :func:`all_pairs_dedup`, the cost-comparing pass kept as the reference for
 ``priced._dedup``, :func:`all_facets`, the facet loop that offers a zone
-once per tight entry, kept as the reference for :meth:`Zone.facets`, and
+once per tight entry, kept as the reference for :meth:`Zone.facets`,
 :func:`face_delay`, the delay built from face zones and then cut by the
-invariant, kept as the reference for ``priced.delay_successors``.
+invariant, kept as the reference for ``priced.delay_successors``, and
+:func:`lp_fiber_point`, the witness step that cuts the parent zone by the
+guard and solves an LP over the fiber, kept as the reference for
+``explorer._fiber_point``.
 """
 
 from __future__ import annotations
@@ -20,13 +23,16 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from zonecost.dbm import (
     INF, NEG_INF, POS_INF, EmptyZoneError, Facet, Zone, _close, bound_is_strict, bound_value,
+    inf_affine,
 )
+from zonecost.explorer import WitnessError
 from zonecost.inclusion import clock_preorder, restrict_y
-from zonecost.model import Atom, Automaton, Edge, Location, Network
+from zonecost.model import Atom, Automaton, Edge, Guard, Location, Network, guard_constraints
 from zonecost.priced import AffineCost, PricedZone, _never_costlier
 
 # Constraints are (coeffs: dict var -> Fraction, rhs: Fraction, strict: bool),
@@ -150,6 +156,51 @@ def fiber_feasible(zone: Zone, fixed: dict[str, Fraction], *, closed: bool = Fal
         cons.append(({c: Fraction(1)}, Fraction(val), False))
         cons.append(({c: Fraction(-1)}, -Fraction(val), False))
     return fm_minimize({}, Fraction(0), cons, list(zone.clocks)) is not None
+
+
+def _lp_pick_point(zone: Zone, cost: AffineCost, budget: Fraction) -> dict[str, int | Fraction]:
+    """A point of the zone whose cost is within ``budget`` of the infimum.
+
+    The LP vertex is integral and returned as is when the zone holds it;
+    only a vertex on a strict bound is moved towards an interior point.
+    """
+    _, v = inf_affine(zone, cost.coeff_map(), cost.const)
+    if v is None:
+        raise WitnessError("cost must be bounded below on a witness zone")
+    if zone.contains(v):
+        return v
+    interior = zone.sample_point()
+    gap = cost.evaluate(interior) - cost.evaluate(v)
+    lam = Fraction(1) if gap <= 0 else min(Fraction(1), budget / gap)
+    return {c: v[c] + lam * (interior[c] - v[c]) for c in zone.clocks}
+
+
+def lp_fiber_point(parent_zone: Zone, guard: Guard, cost: AffineCost,
+                   fixed: dict[str, int | Fraction], budget: Fraction) -> dict[str, int | Fraction]:
+    """Cheapest-within-budget point of the guarded zone matching ``fixed``
+    coordinates, by an LP over the fiber whatever its dimension.
+
+    A fractional fixed coordinate is made integral by scaling the zone by
+    the denominators' lcm ``d``; with ``d == 1`` the zone and cost are used
+    as they are.
+    """
+    parent_zone = parent_zone.intersect(guard_constraints(guard))
+    d = lcm(*[f.denominator for f in fixed.values()], 1)
+    zone, pick_cost = parent_zone, cost
+    if d > 1:
+        zone = parent_zone.scale(d)
+        coeffs = {c: Fraction(k, d) for c, k in cost.coeff_map().items()}
+        pick_cost = AffineCost.of(zone.clocks, coeffs, cost.const)
+    constraints = []
+    for c, val in fixed.items():
+        iv = int(val * d)  # an int, as zone bounds are, also for an integral Fraction
+        constraints.append((c, None, iv, False))
+        constraints.append((None, c, -iv, False))
+    fiber = zone.intersect(constraints)
+    if fiber.is_empty:
+        raise WitnessError("reset fiber must meet the guarded parent zone")
+    w = _lp_pick_point(fiber, pick_cost, budget)
+    return w if d == 1 else {c: Fraction(w[c], d) for c in fiber.clocks}
 
 
 def _cell(zone: Zone, y: frozenset, m: dict) -> Zone:
@@ -480,6 +531,48 @@ def random_point(rng: random.Random, zone: Zone) -> dict[str, Fraction]:
     point = {c: vals[zone.idx(c)] for c in zone.clocks}
     assert zone.contains(point)
     return point
+
+
+def random_wide_zone(rng: random.Random, clocks: tuple[str, ...], cmax: int) -> Zone:
+    """A non-empty zone holding a random integral point v: each bound lies 0-3
+    above v's value, strict only when above it; delayed a third of the time.
+    Unlike :func:`random_zone` it needs no retries at 8 clocks."""
+    v = {c: rng.randint(0, cmax) for c in clocks}
+    value = {None: 0, **v}
+    cons = []
+    for a in (None,) + clocks:
+        for b in (None,) + clocks:
+            if a == b or rng.random() < 0.6:
+                continue
+            slack = rng.choice((0, 1, 2, 3))
+            cons.append((a, b, value[a] - value[b] + slack, slack > 0 and rng.random() < 0.4))
+    zone = Zone.universal(clocks).intersect(cons)
+    return zone.up() if rng.random() < 1 / 3 else zone
+
+
+def random_fiber_case(rng: random.Random, zone: Zone, cmax: int):
+    """A witness step's other inputs on a non-empty zone, as ``(guard, cost,
+    fixed, budget)``: values for every clock but at most one from a random
+    point of the zone (sevenths, so the lcm d of their denominators may
+    exceed 1), with one value moved to a grid of halves or thirds up to
+    2 * cmax, often outside the zone, in 3 cases of 10; up to three guard
+    atoms near the point, most on the free clock; a cost with coefficients
+    of each sign; and a budget small or large against the fiber's width."""
+    clocks = zone.clocks
+    free = rng.sample(clocks, rng.randint(0, 1))
+    p = random_point(rng, zone)
+    fixed = {c: p[c] for c in clocks if c not in free}
+    if fixed and rng.random() < 0.3:
+        q = rng.choice((1, 2, 3))
+        fixed[rng.choice(sorted(fixed))] = Fraction(rng.randint(0, 2 * cmax * q), q)
+    guard = []
+    for _ in range(rng.randint(0, 3)):
+        c = free[0] if free and rng.random() < 0.7 else rng.choice(clocks)
+        near = int(p[c])
+        guard.append(Atom(c, rng.choice(("<", "<=", "=", ">=", ">")),
+                          rng.randint(max(0, near - 1), near + 2)))
+    budget = Fraction(1, rng.randint(1, 100)) if rng.random() < 0.7 else Fraction(rng.randint(1, 20))
+    return tuple(guard), random_cost(rng, clocks), fixed, budget
 
 
 def _random_guard(rng: random.Random, clocks, cmax: int, atoms: int):

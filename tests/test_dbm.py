@@ -862,8 +862,9 @@ def test_sup_affine_closed_forms_hand_cases(monkeypatch):
 
 
 def test_zone_queries_match_their_definitions_random():
-    # implies, clock_bounds and delay_interval against intersection, the LP
-    # and membership, on zones with strict bounds and fixed clocks
+    # implies, clock_bounds, delay_interval and interval against
+    # intersection, the LP and membership, on zones with strict bounds and
+    # fixed clocks
     rng = random.Random(20261022)
     clocks = ("x", "y", "z")
     nodes = (None,) + clocks
@@ -893,6 +894,17 @@ def test_zone_queries_match_their_definitions_random():
             assert inside(lo + (hi - lo) * step) and inside(hi - (hi - lo) * step), k
         assert not inside(hi + step), k
         assert lo == 0 or not inside(lo - step), k
+        p = z.sample_point()
+        for c in clocks:
+            lo, lo_strict, hi, hi_strict = z.interval(c, p)
+
+            def at(x):
+                return z.contains({**p, c: x})
+
+            assert lo <= p[c] and (hi is None or p[c] <= hi), (k, c)
+            assert at(lo) == (not lo_strict) and not at(lo - step), (k, c)
+            if hi is not None:
+                assert at(hi) == (not hi_strict) and not at(hi + step), (k, c)
 
 
 def test_zone_queries_on_the_empty_zone():
@@ -908,6 +920,8 @@ def test_zone_queries_on_the_empty_zone():
         z.clock_bounds("x")
     with pytest.raises(EmptyZoneError):
         z.delay_interval({"x": 1, "y": 2})
+    with pytest.raises(EmptyZoneError):
+        z.interval("x", {"y": 2})
     # like its facets, an empty zone has no dominant bound to ask for
     for axis in (None, "x"):
         with pytest.raises(EmptyZoneError):

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import json
+import random
 import warnings
 from collections import Counter
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 
 from conftest import MODELS, landing_network_text, load_automaton
-from grid_oracles import fm_minimize, zone_constraints
+from grid_oracles import fm_minimize, lp_fiber_point, random_fiber_case, random_zone, zone_constraints
 from zonecost import cli, dbm, explorer, inclusion, priced
 from zonecost.dbm import NEG_INF, POS_INF, Zone
 from zonecost.explorer import (
@@ -25,7 +27,7 @@ from zonecost.explorer import (
     _pick_point,
 )
 from zonecost.inclusion import includes
-from zonecost.model import Product, compose, evaluate_run, parse_model
+from zonecost.model import Atom, Product, compose, evaluate_run, parse_model
 from zonecost.priced import AffineCost, PricedZone
 
 
@@ -233,13 +235,14 @@ def test_witness_validity_corpus(corpus):
 
 
 def test_witness_points_stay_integral(monkeypatch, corpus):
-    # LP vertices are integral, and these witnesses need no interpolation and
-    # no fractional reset fiber, so no point becomes a fraction and no zone
-    # is scaled
+    # LP vertices and the ends of a reset clock's interval are integral, and
+    # these witnesses need no interpolation and no fractional reset fiber, so
+    # no point becomes a fraction and no zone is scaled
     points, factors = [], []
-    pick = explorer._pick_point
-    monkeypatch.setattr(explorer, "_pick_point",
-                        lambda *a: points.append(pick(*a)) or points[-1])
+    for name in ("_pick_point", "_fiber_point"):
+        pick = getattr(explorer, name)
+        monkeypatch.setattr(explorer, name,
+                            lambda *a, pick=pick: points.append(pick(*a)) or points[-1])
     scale = Zone.scale
     monkeypatch.setattr(Zone, "scale", lambda z, f: factors.append(f) or scale(z, f))
     for name in ["als_hold", "als_small", "ets_small", "fig2left", "fig2left_lax",
@@ -253,20 +256,104 @@ def test_witness_points_stay_integral(monkeypatch, corpus):
 
 
 def test_fiber_point_with_fractional_coordinate():
-    # 0 <= x <= 2, 1 < y <= 3, x - y <= 1 at x = 1/2: the zone is scaled by 2,
-    # and the cheapest vertex lies on the strict bound y > 1
+    # 0 <= x <= 2, 1 < y <= 3, x - y <= 1 at x = 1/2: y's interval is (1, 3],
+    # and the cheapest end is the strict bound y > 1
     zone = Zone.from_constraints(("x", "y"), [
         ("x", None, 2, False), (None, "y", -1, True), ("y", None, 3, False),
         ("x", "y", 1, False)])
     cost = AffineCost.of(("x", "y"), {"x": 2, "y": 1}, 1)
     budget = F(1, 100)
-    w = _fiber_point(zone, cost, {"x": F(1, 2)}, budget)
+    w = _fiber_point(zone, (), cost, {"x": F(1, 2)}, budget)
     assert w["x"] == F(1, 2) and zone.contains(w)
     fiber = zone_constraints(zone) + [({"x": F(1)}, F(1, 2), False),
                                       ({"x": F(-1)}, F(-1, 2), False)]
     best = fm_minimize({"x": F(2), "y": F(1)}, F(1), fiber, ["x", "y"])
     assert best == 3
     assert best < cost.evaluate(w) <= best + budget
+    assert w == lp_fiber_point(zone, (), cost, {"x": F(1, 2)}, budget)
+
+
+def _fiber_outcome(f, *args):
+    try:
+        return f(*args)
+    except WitnessError:
+        return WitnessError
+
+
+def test_fiber_point_matches_the_lp_reference():
+    # the interval read-off picks exactly the point of the guard cut and the
+    # LP, or fails as it does; the counts make sure every branch is drawn
+    rng = random.Random(20160211)
+    seen = Counter()
+    for _ in range(1000):
+        zone = random_zone(rng, tuple("wxyz"[:rng.randint(1, 4)]), 4)
+        if rng.random() < 1 / 3:
+            zone = zone.up()
+        guard, cost, fixed, budget = random_fiber_case(rng, zone, 4)
+        want = _fiber_outcome(lp_fiber_point, zone, guard, cost, fixed, budget)
+        assert _fiber_outcome(_fiber_point, zone, guard, cost, fixed, budget) == want
+        if want is WitnessError:
+            seen["raises"] += 1
+            continue
+        free = [c for c in zone.clocks if c not in fixed]
+        seen[f"{len(free)} free"] += 1
+        if free:
+            (c,) = free
+            d = lcm(*[f.denominator for f in fixed.values()], 1)
+            k = cost.coeffs[cost.clocks.index(c)]
+            seen["d > 1"] += d > 1
+            seen["open above"] += zone.interval(c, fixed)[2] is None
+            seen["moved off an end"] += (want[c] * d).denominator != 1
+            seen["k < 0" if k < 0 else "k = 0" if k == 0 else "k > 0"] += 1
+    assert min(seen.values()) >= 20 and len(seen) == 9, seen
+
+
+@pytest.mark.parametrize("bounds, guard, coeffs, fixed, budget, expect", [
+    # y > 1 with no upper bound at x = 1/2: the interior point is 1 + 1/d
+    # with d = 2, as sample_point places it on the zone scaled by 2; a flat
+    # cost moves all the way there, where 1 + 1 would give another run
+    ([(None, "y", -1, True)], (), {"x": 1}, {"x": F(1, 2)}, F(10), {"x": F(1, 2), "y": F(3, 2)}),
+    # a strict guard atom on the zone's own end makes that end strict
+    ([(None, "y", -1, False), ("y", None, 3, False)], (Atom("y", "<", 3),), {"y": -1},
+     {"x": 1}, F(1, 10), {"x": 1, "y": F(29, 10)}),
+    ([(None, "y", -1, False), ("y", None, 3, False)], (Atom("y", ">", 1),), {"y": 1},
+     {"x": 1}, F(1, 10), {"x": 1, "y": F(11, 10)}),
+])
+def test_fiber_point_strict_ends_by_hand(bounds, guard, coeffs, fixed, budget, expect):
+    zone = Zone.from_constraints(("x", "y"), [("x", None, 2, False), *bounds])
+    cost = AffineCost.of(("x", "y"), coeffs)
+    assert _fiber_point(zone, guard, cost, fixed, budget) == expect
+    assert lp_fiber_point(zone, guard, cost, fixed, budget) == expect
+
+
+@pytest.mark.parametrize("guard, coeffs, fixed", [
+    ((), {}, {"x": 3, "y": 1}),                        # no free clock, x above 2
+    ((Atom("y", "<", 2),), {}, {"x": 1, "y": 2}),      # no free clock, guard fails
+    ((), {"y": 1}, {"x": F(5, 2)}),                    # fixed clock outside the zone
+    ((Atom("y", "<=", 1),), {"y": 1}, {"x": 1}),       # guard empties y's interval
+    ((Atom("y", "=", 4), Atom("y", "<", 4)), {}, {"x": 0}),  # = and < on one value
+    ((), {"y": -1}, {"x": 1}),                         # cost unbounded below
+])
+def test_fiber_point_outside_the_fiber_raises(guard, coeffs, fixed):
+    zone = Zone.from_constraints(("x", "y"), [("x", None, 2, False), (None, "y", -1, True)])
+    cost = AffineCost.of(("x", "y"), coeffs)
+    with pytest.raises(WitnessError):
+        lp_fiber_point(zone, guard, cost, fixed, F(1, 100))
+    with pytest.raises(WitnessError):
+        _fiber_point(zone, guard, cost, fixed, F(1, 100))
+
+
+@pytest.mark.parametrize("name", ["fig2right", "als_hold"])
+def test_witness_steps_solve_no_lp(monkeypatch, name):
+    # every edge of these models resets at most one clock, so the only LP of
+    # the witness is the one that picks its first point
+    a = load_automaton(name)
+    v = explore(a, Config())
+    lps = []
+    lp = explorer.inf_affine
+    monkeypatch.setattr(explorer, "inf_affine", lambda *args: lps.append(args) or lp(*args))
+    run = extract_witness(a, v.witness_state, F(1, 1000))
+    assert run.steps and len(lps) == 1
 
 
 @pytest.mark.parametrize("rate, cx, budget, expect", [
